@@ -26,6 +26,12 @@ go test ./...
 echo "== go test -race -short ./... =="
 go test -race -short ./...
 
+# The explorer calls Invariant/Transition/Terminal hooks from every
+# worker at once (GOMAXPROCS workers by default). Hold that contract,
+# and the tests' hooks to it, at several core counts.
+echo "== go test -race -short -cpu 1,2,4 ./internal/sched/ ./internal/model/ ./internal/rg/ =="
+go test -race -short -cpu 1,2,4 ./internal/sched/ ./internal/model/ ./internal/rg/
+
 # The parallel engine, the batch checker, the daemon's job queue, the
 # specialized monitors and the run-history store are the packages whose
 # correctness depends on cross-goroutine coordination (the monitors via
@@ -620,108 +626,6 @@ check_committed_deltas "$explain_dir/queryz.json" "/queryz"
 kill -TERM "$pid5"
 wait "$pid5"
 
-# Smoke the fleet observability plane end to end: two race-built cald
-# daemons with distinct durable stores, each seeded with a two-point
-# bench trajectory over the calgo.storeapi/v1 remote-store protocol
-# (calbench -auto against the daemon URL — no local files involved).
-# A federated calreport regression query must merge both shards
-# worst-first with per-cell origin labels; a third daemon started with
-# -fleet must answer the same question on /queryz?fleet=1. Then one
-# shard dies: the fleet answer must flip to degraded:true and still
-# carry the surviving shard's rows with exact origin attribution.
-echo "== fleet federation smoke =="
-start_cald "$explain_dir/fleet-a.log" -store "$explain_dir/fleet-a"
-url_a="$cald_url"
-pid_a="$cald_pid"
-start_cald "$explain_dir/fleet-b.log" -store "$explain_dir/fleet-b"
-url_b="$cald_url"
-pid_b="$cald_pid"
-for u in "$url_a" "$url_b"; do
-    go run ./cmd/calbench -dur 5ms -table queues -auto "$u" >/dev/null 2>&1
-    seed2=$(go run ./cmd/calbench -dur 5ms -table queues -auto "$u" 2>&1)
-    case "$seed2" in
-    *"delta vs baseline"*) : ;;
-    *)
-        echo "calbench -auto $u did not resolve its baseline from the daemon:" >&2
-        echo "$seed2" >&2
-        exit 1
-        ;;
-    esac
-done
-echo "calbench -auto: both shards seeded over calgo.storeapi/v1, remote baselines resolved"
-
-start_cald "$explain_dir/fleet-c.log" -fleet "$url_a,$url_b"
-url_c="$cald_url"
-pid_c="$cald_pid"
-
-go run ./cmd/calreport -store "$url_a,$url_b" -query "regressions" \
-    -o "$explain_dir/fleet.json"
-python3 -c '
-import json, sys, urllib.request
-from urllib.parse import urlparse
-
-def check_merged(res, hosts):
-    assert res["schema"] == "calgo.query/v1" and res["mode"] == "regressions", res
-    assert not res.get("degraded"), res
-    targets = res["targets"]
-    assert {t["target"] for t in targets} == hosts, targets
-    assert all(not t.get("error") for t in targets), targets
-    deltas = res.get("deltas") or []
-    assert {d["origin"] for d in deltas} == hosts, deltas
-    pcts = [d["delta_pct"] for d in deltas]
-    assert pcts == sorted(pcts), "fleet deltas not worst-first"
-    return len(deltas)
-
-hosts = {urlparse(u).netloc for u in sys.argv[2:4]}
-n = check_merged(json.load(open(sys.argv[1])), hosts)
-fleet_url = sys.argv[4].rstrip("/") + "/queryz?fleet=1&mode=regressions"
-m = check_merged(json.load(urllib.request.urlopen(fleet_url, timeout=30)), hosts)
-print("fleet rollup: %d (calreport) / %d (/queryz?fleet=1) deltas merged "
-      "worst-first from %s" % (n, m, ", ".join(sorted(hosts))))
-' "$explain_dir/fleet.json" "$url_a" "$url_b" "$url_c"
-
-# Kill shard b: the same questions must now degrade honestly instead of
-# failing — partial rows from a, an error attributed to b.
-kill -TERM "$pid_b"
-wait "$pid_b"
-degraded_txt=$(go run ./cmd/calreport -store "$url_a,$url_b" -query "regressions")
-case "$degraded_txt" in
-*"DEGRADED"*) : ;;
-*)
-    echo "federated query with a dead shard did not render DEGRADED:" >&2
-    echo "$degraded_txt" >&2
-    exit 1
-    ;;
-esac
-go run ./cmd/calreport -store "$url_a,$url_b" -query "regressions" \
-    -o "$explain_dir/fleet-degraded.json"
-python3 -c '
-import json, sys, urllib.request
-from urllib.parse import urlparse
-
-def check_degraded(res, live, dead):
-    assert res.get("degraded") is True, res
-    tmap = {t["target"]: t for t in res["targets"]}
-    assert set(tmap) == {live, dead}, tmap
-    assert tmap[dead].get("error"), "dead shard has no attributed error: %r" % tmap
-    assert not tmap[live].get("error"), tmap
-    deltas = res.get("deltas") or []
-    assert deltas and all(d["origin"] == live for d in deltas), deltas
-    return len(deltas)
-
-live, dead = (urlparse(u).netloc for u in sys.argv[2:4])
-n = check_degraded(json.load(open(sys.argv[1])), live, dead)
-fleet_url = sys.argv[4].rstrip("/") + "/queryz?fleet=1&mode=regressions"
-m = check_degraded(json.load(urllib.request.urlopen(fleet_url, timeout=60)), live, dead)
-print("fleet degradation: %d/%d surviving rows, all origin=%s, error pinned on %s"
-      % (n, m, live, dead))
-' "$explain_dir/fleet-degraded.json" "$url_a" "$url_b" "$url_c"
-kill -TERM "$pid_c"
-wait "$pid_c"
-kill -TERM "$pid_a"
-wait "$pid_a"
-echo "fleet smoke: merged rollup, /queryz?fleet=1, degraded partial results"
-
 # Smoke the retention policy on a live daemon: reopen a store that
 # already holds two bench trajectory points under keep-bench 1 with a
 # 1s sweep interval, and watch calgo_runstore_expired_total move on
@@ -750,5 +654,36 @@ print("retention: calgo_runstore_expired_total = %d, retained gauge = %d"
 ' "$cald_url"
 kill -TERM "$cald_pid"
 wait "$cald_pid"
+
+# cald installs its SIGTERM handler before it answers requests: a
+# SIGTERM right after the first 2xx must drain the daemon and exit 0,
+# never kill it. Repeat the cycle to catch an ordering regression.
+echo "== cald SIGTERM-at-startup smoke =="
+cycle=1
+while [ $cycle -le 20 ]; do
+    # A fresh log per cycle: start_cald must not scrape the previous
+    # cycle's URL before the new process truncates a shared file.
+    start_cald "$explain_dir/cald-sig-$cycle.log" -journal "$explain_dir/sig.journal" \
+        -store "$explain_dir/sigstore"
+    python3 -c '
+import sys, time, urllib.request
+deadline = time.time() + 30
+while True:
+    try:
+        urllib.request.urlopen(sys.argv[1].rstrip("/") + "/statusz", timeout=5).read()
+        break
+    except OSError:
+        assert time.time() < deadline, "cald never answered 2xx"
+        time.sleep(0.05)
+' "$cald_url"
+    kill -TERM "$cald_pid"
+    if ! wait "$cald_pid"; then
+        echo "cald did not exit 0 on SIGTERM right after startup (cycle $cycle):" >&2
+        tail -20 "$explain_dir/cald-sig-$cycle.log" >&2
+        exit 1
+    fi
+    cycle=$((cycle + 1))
+done
+echo "SIGTERM at startup: 20 of 20 cycles drained and exited 0"
 
 echo "CI gate passed."

@@ -2,12 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"calgo"
+	"calgo/internal/cliflags"
 )
 
 func TestGCounts(t *testing.T) {
@@ -101,4 +104,30 @@ func TestBenchTablesSmoke(t *testing.T) {
 	benchSyncQueue()
 	benchQueues()
 	benchElimK()
+}
+
+// TestAutoRejectsURL: -auto takes a directory. A URL fails resolveAuto
+// (so run exits 2) without creating a directory named after it.
+func TestAutoRejectsURL(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) }) //nolint:errcheck // best-effort restore
+	oldAuto, oldCmd := *auto, flag.CommandLine
+	t.Cleanup(func() { *auto, flag.CommandLine = oldAuto, oldCmd })
+	flag.CommandLine = flag.NewFlagSet("calbench", flag.ContinueOnError)
+	shared := cliflags.RegisterOps("calbench")
+
+	*auto = "http://127.0.0.1:1"
+	if err := resolveAuto(shared); err == nil || !strings.Contains(err.Error(), "not a URL") {
+		t.Fatalf("resolveAuto(%q) = %v, want a URL rejection", *auto, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected -auto left %d entries behind, first %q", len(entries), entries[0].Name())
+	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -170,5 +171,33 @@ func TestLoadTraceBadLine(t *testing.T) {
 	}
 	if _, _, err := loadTrace(path); err == nil || !strings.Contains(err.Error(), ":2:") {
 		t.Errorf("bad line not reported with its line number: %v", err)
+	}
+}
+
+// TestStoreRejectsURLsAndLists: -store takes one directory. A URL or a
+// comma-separated list is a usage error (exit 2), and no directory
+// named after it is created.
+func TestStoreRejectsURLsAndLists(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) }) //nolint:errcheck // best-effort restore
+	oldArgs, oldCmd := os.Args, flag.CommandLine
+	t.Cleanup(func() { os.Args, flag.CommandLine = oldArgs, oldCmd })
+
+	for _, spec := range []string{"http://127.0.0.1:1", "https://h:9/", "a,b"} {
+		flag.CommandLine = flag.NewFlagSet("calreport", flag.ContinueOnError)
+		os.Args = []string{"calreport", "-store", spec, "-query", "runs"}
+		if got := run(); got != 2 {
+			t.Errorf("-store %q: exit %d, want 2", spec, got)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected specs left %d entries behind, first %q", len(entries), entries[0].Name())
 	}
 }

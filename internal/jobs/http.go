@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"time"
+
+	"calgo/internal/sse"
 )
 
 // Handler returns the job API, mountable on the ops mux (cald mounts it
@@ -54,12 +56,62 @@ func retryAfterSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d", s)
 }
 
-func writeJob(w http.ResponseWriter, status int, j Job) {
+// writeJSON replies with v as an indented JSON document.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(j) //nolint:errcheck // client gone
+	enc.Encode(v) //nolint:errcheck // client gone
+}
+
+// writeError maps the managers' error taxonomy onto HTTP statuses, the
+// same for the job and the stream API: 400 for a bad request, 429 +
+// Retry-After when shed or rate-limited, 503 + Retry-After while
+// draining, 404 for an unknown id and 500 otherwise. what names the
+// resource in the 404 reply ("job", "stream").
+func writeError(w http.ResponseWriter, err error, what string) {
+	var reqErr *RequestError
+	var over *OverloadError
+	switch {
+	case errors.As(err, &reqErr):
+		http.Error(w, reqErr.Error(), http.StatusBadRequest)
+	case errors.As(err, &over):
+		w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
+		http.Error(w, over.Error(), http.StatusTooManyRequests)
+	case errors.Is(err, ErrDraining):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "daemon is draining; retry against the restarted instance", http.StatusServiceUnavailable)
+	case errors.Is(err, ErrNotFound):
+		http.Error(w, "no such "+what, http.StatusNotFound)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// watch streams snap, then every update, as SSE frames (the same
+// plumbing contract as /statusz?watch=1), ending after the terminal
+// frame closes updates. A drain (stopping closes) ends the stream early
+// with an explicit drain event, so clients know to re-poll the
+// restarted daemon.
+func watch[T any](w http.ResponseWriter, r *http.Request, stopping <-chan struct{}, snap T, updates <-chan T) {
+	stream, ok := sse.Start(w)
+	if !ok || !stream.Data(snap) {
+		return
+	}
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-stopping:
+			stream.Event("drain")
+			return
+		case v, open := <-updates:
+			if !open || !stream.Data(v) {
+				return // after the terminal frame, or with the client gone
+			}
+		}
+	}
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -78,40 +130,30 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := m.Submit(clientID(r), req)
 	if err != nil {
-		var reqErr *RequestError
-		var over *OverloadError
-		switch {
-		case errors.As(err, &reqErr):
-			http.Error(w, reqErr.Error(), http.StatusBadRequest)
-		case errors.As(err, &over):
-			w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
-			http.Error(w, over.Error(), http.StatusTooManyRequests)
-		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "daemon is draining; retry against the restarted instance", http.StatusServiceUnavailable)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeError(w, err, "job")
 		return
 	}
 	status := http.StatusAccepted
 	if job.State.Terminal() {
 		status = http.StatusOK // answered from the verdict cache
 	}
-	writeJob(w, status, job)
+	writeJSON(w, status, job)
 }
 
 func (m *Manager) handleList(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(m.List()) //nolint:errcheck // client gone
+	writeJSON(w, http.StatusOK, m.List())
 }
 
 func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if r.URL.Query().Get("watch") != "" {
-		m.watchJob(w, r, id)
+		snap, updates, stop, err := m.Watch(id)
+		if err != nil {
+			writeError(w, err, "job")
+			return
+		}
+		defer stop()
+		watch(w, r, m.Stopping(), snap, updates)
 		return
 	}
 	job, ok := m.Get(id)
@@ -119,74 +161,15 @@ func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	writeJob(w, http.StatusOK, job)
+	writeJSON(w, http.StatusOK, job)
 }
 
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	err := m.Cancel(id)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err := m.Cancel(id); err != nil {
+		writeError(w, err, "job")
 		return
 	}
 	job, _ := m.Get(id)
-	writeJob(w, http.StatusOK, job)
-}
-
-// watchJob streams a job's state changes as SSE frames (the same
-// plumbing contract as /statusz?watch=1): an immediate snapshot, one
-// frame per transition, then end-of-stream after the terminal frame. A
-// drain ends the stream early with an explicit drain event so clients
-// know to re-poll the restarted daemon.
-func (m *Manager) watchJob(w http.ResponseWriter, r *http.Request, id string) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	snap, updates, stop, err := m.Watch(id)
-	if err != nil {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	defer stop()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-
-	emit := func(j Job) bool {
-		b, err := json.Marshal(j)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !emit(snap) {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-m.Stopping():
-			fmt.Fprint(w, "event: drain\ndata: {}\n\n")
-			fl.Flush()
-			return
-		case j, open := <-updates:
-			if !open {
-				return // terminal frame already delivered
-			}
-			if !emit(j) {
-				return
-			}
-		}
-	}
+	writeJSON(w, http.StatusOK, job)
 }

@@ -35,35 +35,6 @@ func (m *StreamManager) Handler() http.Handler {
 	return mux
 }
 
-func writeStreamDoc(w http.ResponseWriter, status int, d StreamDoc) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(d) //nolint:errcheck // client gone
-}
-
-// streamError maps the manager's error taxonomy onto HTTP statuses,
-// mirroring the job API exactly.
-func streamError(w http.ResponseWriter, err error) {
-	var reqErr *RequestError
-	var over *OverloadError
-	switch {
-	case errors.As(err, &reqErr):
-		http.Error(w, reqErr.Error(), http.StatusBadRequest)
-	case errors.As(err, &over):
-		w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
-		http.Error(w, over.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "daemon is draining; re-open the stream against the restarted instance", http.StatusServiceUnavailable)
-	case errors.Is(err, ErrNotFound):
-		http.Error(w, "no such stream", http.StatusNotFound)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 func (m *StreamManager) handleOpen(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, 64<<10)
 	var req StreamRequest
@@ -73,23 +44,26 @@ func (m *StreamManager) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	doc, err := m.Open(clientID(r), req)
 	if err != nil {
-		streamError(w, err)
+		writeError(w, err, "stream")
 		return
 	}
-	writeStreamDoc(w, http.StatusCreated, doc)
+	writeJSON(w, http.StatusCreated, doc)
 }
 
 func (m *StreamManager) handleList(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(m.List()) //nolint:errcheck // client gone
+	writeJSON(w, http.StatusOK, m.List())
 }
 
 func (m *StreamManager) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if r.URL.Query().Get("watch") != "" {
-		m.watchStream(w, r, id)
+		snap, updates, stop, err := m.Watch(id)
+		if err != nil {
+			writeError(w, err, "stream")
+			return
+		}
+		defer stop()
+		watch(w, r, m.Stopping(), snap, updates)
 		return
 	}
 	doc, ok := m.Get(id)
@@ -97,7 +71,7 @@ func (m *StreamManager) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such stream", http.StatusNotFound)
 		return
 	}
-	writeStreamDoc(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (m *StreamManager) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -119,89 +93,32 @@ func (m *StreamManager) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// error but include the document so the client sees how far the
 		// stream advanced.
 		if doc.ID != "" {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(struct {
+			writeJSON(w, http.StatusBadRequest, struct {
 				Error string `json:"error"`
 				StreamDoc
-			}{Error: err.Error(), StreamDoc: doc}) //nolint:errcheck // client gone
+			}{Error: err.Error(), StreamDoc: doc})
 			return
 		}
-		streamError(w, err)
+		writeError(w, err, "stream")
 		return
 	}
-	writeStreamDoc(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (m *StreamManager) handleClose(w http.ResponseWriter, r *http.Request) {
 	doc, err := m.Close(r.PathValue("id"))
 	if err != nil {
-		streamError(w, err)
+		writeError(w, err, "stream")
 		return
 	}
-	writeStreamDoc(w, http.StatusOK, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (m *StreamManager) handleCancel(w http.ResponseWriter, r *http.Request) {
 	doc, err := m.Cancel(r.PathValue("id"))
 	if err != nil {
-		streamError(w, err)
+		writeError(w, err, "stream")
 		return
 	}
-	writeStreamDoc(w, http.StatusOK, doc)
-}
-
-// watchStream streams verdict frames as SSE (the same plumbing contract
-// as /jobs/{id}?watch=1 and /statusz?watch=1): an immediate snapshot,
-// one frame per ingested batch, then end-of-stream after the terminal
-// frame. A drain ends the stream early with an explicit drain event.
-func (m *StreamManager) watchStream(w http.ResponseWriter, r *http.Request, id string) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	snap, updates, stop, err := m.Watch(id)
-	if err != nil {
-		http.Error(w, "no such stream", http.StatusNotFound)
-		return
-	}
-	defer stop()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-
-	emit := func(d StreamDoc) bool {
-		b, err := json.Marshal(d)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !emit(snap) {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-m.Stopping():
-			fmt.Fprint(w, "event: drain\ndata: {}\n\n")
-			fl.Flush()
-			return
-		case d, open := <-updates:
-			if !open {
-				return // terminal frame already delivered
-			}
-			if !emit(d) {
-				return
-			}
-		}
-	}
+	writeJSON(w, http.StatusOK, doc)
 }

@@ -33,6 +33,7 @@ import (
 	"calgo/internal/obs"
 	"calgo/internal/render"
 	"calgo/internal/runstore"
+	"calgo/internal/sse"
 )
 
 // StatuszSchema versions the /statusz JSON document; the shape is
@@ -55,20 +56,17 @@ type Config struct {
 	// (runstore.DefaultRingCapacity records, evictions counted on
 	// runstore.evicted), so a long-lived process can no longer grow its
 	// report slice without limit; daemons pass a durable filesystem
-	// store here to serve pre-restart history. The store is also served
-	// over the calgo.storeapi/v1 protocol under /storeapi/, making the
-	// process a remote backend for runstore.Remote clients.
+	// store here to serve pre-restart history.
 	Store runstore.Store
-	// Fleet, when set (cald -fleet), backs /queryz?fleet=1: the same
-	// query evaluated across the federation, with the degraded-result
-	// contract of EXPERIMENTS.md ("Fleet observability").
-	Fleet runstore.Store
-	// MaxResults clamps /runsz, /queryz and storeapi listings
-	// server-side (default runstore.DefaultMaxList; < 0 disables), so
-	// an unbounded query cannot wedge an ops goroutine serializing the
-	// whole history.
+	// MaxResults clamps /runsz and /queryz listings server-side
+	// (default DefaultMaxResults; < 0 disables), so an unbounded query
+	// cannot wedge an ops goroutine serializing the whole history.
 	MaxResults int
 }
+
+// DefaultMaxResults is the server-side result bound when
+// Config.MaxResults does not choose one.
+const DefaultMaxResults = 1000
 
 // Server is the ops endpoint. Construct with New, mount Handler on any
 // mux or call Start to listen. Shutdown stops a started listener
@@ -97,14 +95,14 @@ type Server struct {
 
 // New returns an unstarted server over the given instruments. The
 // registry (when present) gains the conventional build_info gauge, so
-// /metrics and /statusz report the same version identity fleet-wide.
+// /metrics and /statusz report the same version identity.
 func New(cfg Config) *Server {
 	st := cfg.Store
 	if st == nil {
 		st = runstore.NewRing(runstore.DefaultRingCapacity, cfg.Metrics)
 	}
 	if cfg.MaxResults == 0 {
-		cfg.MaxResults = runstore.DefaultMaxList
+		cfg.MaxResults = DefaultMaxResults
 	}
 	version, goVersion := obs.BuildInfo()
 	cfg.Metrics.SetBuildInfo(version, goVersion)
@@ -186,12 +184,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/flightz", s.handleFlightz)
 	mux.HandleFunc("/runsz", s.handleRunsz)
 	mux.HandleFunc("/queryz", s.handleQueryz)
-	// The run-history store doubles as a calgo.storeapi/v1 remote
-	// backend: any process serving these endpoints can be a federation
-	// target.
-	mux.Handle(runstore.StoreAPIPrefix+"/", runstore.NewAPI(s.store, runstore.APIOptions{
-		MaxList: s.cfg.MaxResults,
-	}))
 	// Delegate /debug/ to the process-wide mux: net/http/pprof and
 	// expvar register there on import.
 	mux.Handle("/debug/", http.DefaultServeMux)
@@ -285,8 +277,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/statusz">/statusz</a> — live run status (JSON; <a href="/statusz?format=html">HTML</a>, <a href="/statusz?watch=1">SSE</a>)</li>
 <li><a href="/flightz">/flightz</a> — flight-recorder ring (JSON lines)</li>
 <li><a href="/runsz">/runsz</a> — completed run records (?tool=&amp;verdict=&amp;since=&amp;limit=)</li>
-<li><a href="/queryz">/queryz</a> — run-history queries (<a href="/queryz?mode=regressions&amp;format=html">regressions</a>; ?fleet=1 with -fleet)</li>
-<li><a href="/storeapi/v1/records">/storeapi/v1/records</a> — calgo.storeapi/v1 remote-store protocol</li>
+<li><a href="/queryz">/queryz</a> — run-history queries (<a href="/queryz?mode=regressions&amp;format=html">regressions</a>)</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — profiles</li>
 <li><a href="/debug/vars">/debug/vars</a> — expvar</li>
 </ul>
@@ -324,9 +315,9 @@ type RunSummary struct {
 type Statusz struct {
 	Schema string `json:"schema"`
 	Tool   string `json:"tool"`
-	// Version/GoVersion mirror the build_info gauge's labels, so fleet
-	// tooling can correlate regressions with daemon versions from
-	// either surface.
+	// Version/GoVersion mirror the build_info gauge's labels, so
+	// regressions can be correlated with daemon versions from either
+	// surface.
 	Version   string         `json:"version,omitempty"`
 	GoVersion string         `json:"go_version,omitempty"`
 	Run       obs.LiveStatus `json:"run"`
@@ -394,11 +385,6 @@ const (
 // immediate frame, then one per interval until the client goes away or
 // the server closes.
 func (s *Server) watchStatusz(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
 	interval := defaultWatchInterval
 	if iv := r.URL.Query().Get("interval"); iv != "" {
 		d, err := time.ParseDuration(iv)
@@ -411,22 +397,8 @@ func (s *Server) watchStatusz(w http.ResponseWriter, r *http.Request) {
 	if interval < minWatchInterval {
 		interval = minWatchInterval
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-
-	emit := func() bool {
-		b, err := json.Marshal(s.statusz())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !emit() {
+	stream, ok := sse.Start(w)
+	if !ok || !stream.Data(s.statusz()) {
 		return
 	}
 	t := time.NewTicker(interval)
@@ -439,12 +411,11 @@ func (s *Server) watchStatusz(w http.ResponseWriter, r *http.Request) {
 			// Graceful stop: hand the watcher one last frame and an
 			// explicit bye event, then end the stream so Shutdown's drain
 			// completes instead of waiting on connected clients.
-			emit()
-			fmt.Fprint(w, "event: bye\ndata: {}\n\n")
-			fl.Flush()
+			stream.Data(s.statusz())
+			stream.Event("bye")
 			return
 		case <-t.C:
-			if !emit() {
+			if !stream.Data(s.statusz()) {
 				return
 			}
 		}
@@ -528,10 +499,7 @@ func (s *Server) handleRunsz(w http.ResponseWriter, r *http.Request) {
 // handleQueryz answers run-history queries (calgo.query/v1): record
 // listings (?mode=runs, the default) and per-cell bench regressions
 // (?mode=regressions&baseline=&table=&top=), as JSON or, with
-// ?format=html, a self-contained HTML table. With ?fleet=1 (and a
-// configured federation) the query runs across every fleet target
-// instead of the local store, degrading honestly when shards are down.
-// Limits are clamped at the server's MaxResults, and evaluation stops
+// ?format=html, a self-contained HTML table. Limits are clamped at the server's MaxResults, and evaluation stops
 // when the client goes away.
 func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	q, err := runstore.QueryFromValues(r.URL.Query(), time.Now())
@@ -541,15 +509,7 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	}
 	q.Limit = s.clampLimit(q.Limit)
 	q.Top = s.clampLimit(q.Top)
-	target := s.store
-	if r.URL.Query().Get("fleet") != "" {
-		if s.cfg.Fleet == nil {
-			http.Error(w, "no fleet configured (start with -fleet)", http.StatusNotFound)
-			return
-		}
-		target = s.cfg.Fleet
-	}
-	res, err := runstore.RunContext(r.Context(), target, q)
+	res, err := runstore.RunContext(r.Context(), s.store, q)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nobody to answer
@@ -576,36 +536,15 @@ func (s *Server) htmlQueryz(w http.ResponseWriter, res *runstore.Result) {
 td,th{border:1px solid #999;padding:.2em .6em;text-align:left}td.n{text-align:right}</style>
 <h1>queryz — %[1]s (%[2]s)</h1>
 `, html.EscapeString(s.cfg.Tool), html.EscapeString(res.Mode))
-	if len(res.Targets) > 0 {
-		if res.Degraded {
-			fmt.Fprint(w, "<p><strong>DEGRADED</strong> — partial results; some fleet targets failed:</p>\n")
-		} else {
-			fmt.Fprintf(w, "<p>fleet query across %d target(s)</p>\n", len(res.Targets))
-		}
-		fmt.Fprint(w, "<ul>\n")
-		for _, tr := range res.Targets {
-			if tr.Error != "" {
-				fmt.Fprintf(w, "<li><code>%s</code>: ERROR: %s</li>\n",
-					html.EscapeString(tr.Target), html.EscapeString(tr.Error))
-			} else {
-				fmt.Fprintf(w, "<li><code>%s</code>: %d record(s)</li>\n",
-					html.EscapeString(tr.Target), tr.Records)
-			}
-		}
-		fmt.Fprint(w, "</ul>\n")
-	}
 	if res.Mode == runstore.ModeRegressions {
-		if len(res.Targets) == 0 {
-			fmt.Fprintf(w, "<p>current <code>%s</code> (%s) vs baseline <code>%s</code> (%s); %d comparable cells, %d skipped</p>\n",
-				html.EscapeString(res.CurrentID), html.EscapeString(res.CurrentTime),
-				html.EscapeString(res.BaselineID), html.EscapeString(res.BaselineTime),
-				res.Total, res.Skipped)
-		}
-		fmt.Fprint(w, "<table><tr><th>table</th><th>row</th><th>column</th><th>base</th><th>current</th><th>delta</th><th>origin</th></tr>\n")
+		fmt.Fprintf(w, "<p>current <code>%s</code> (%s) vs baseline <code>%s</code> (%s); %d comparable cells, %d skipped</p>\n",
+			html.EscapeString(res.CurrentID), html.EscapeString(res.CurrentTime),
+			html.EscapeString(res.BaselineID), html.EscapeString(res.BaselineTime),
+			res.Total, res.Skipped)
+		fmt.Fprint(w, "<table><tr><th>table</th><th>row</th><th>column</th><th>base</th><th>current</th><th>delta</th></tr>\n")
 		for _, d := range res.Deltas {
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td class=n>%d</td><td class=n>%.0f</td><td class=n>%.0f</td><td class=n>%+.1f%%</td><td>%s</td></tr>\n",
-				html.EscapeString(d.Table), html.EscapeString(d.Row), d.Column, d.Base, d.Cur, d.Pct,
-				html.EscapeString(d.Origin))
+			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td class=n>%d</td><td class=n>%.0f</td><td class=n>%.0f</td><td class=n>%+.1f%%</td></tr>\n",
+				html.EscapeString(d.Table), html.EscapeString(d.Row), d.Column, d.Base, d.Cur, d.Pct)
 		}
 		fmt.Fprint(w, "</table>\n")
 		return

@@ -2,7 +2,9 @@ package rg_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"calgo/internal/history"
@@ -11,15 +13,19 @@ import (
 	"calgo/internal/sched"
 )
 
-// walk collects every transition of the model's full state graph.
-func walk(t *testing.T, cfg model.ExchangerConfig, visit func(pre, post *model.ExchangerState, s sched.Succ)) {
+// walk visits every transition of the model's full state graph. The
+// explorer calls its hooks from all workers at once, so walk serializes
+// visit; a non-nil error from visit stops the exploration and fails t.
+func walk(t *testing.T, cfg model.ExchangerConfig, visit func(pre, post *model.ExchangerState, s sched.Succ) error) {
 	t.Helper()
 	init := model.NewExchanger(cfg)
+	var mu sync.Mutex
 	_, err := sched.Explore(context.Background(),
 		init,
 		sched.WithTransition(func(from sched.State, s sched.Succ) error {
-			visit(from.(*model.ExchangerState), s.Next.(*model.ExchangerState), s)
-			return nil
+			mu.Lock()
+			defer mu.Unlock()
+			return visit(from.(*model.ExchangerState), s.Next.(*model.ExchangerState), s)
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -36,15 +42,16 @@ func TestJustifyMatchesLabels(t *testing.T) {
 	}
 	seen := map[string]int{}
 	walk(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}, {7}}},
-		func(pre, post *model.ExchangerState, s sched.Succ) {
+		func(pre, post *model.ExchangerState, s sched.Succ) error {
 			action, err := rg.Justify(pre, post, history.ThreadID(s.Thread+1))
 			if err != nil {
-				t.Fatalf("unjustified transition %q: %v", s.Label, err)
+				return fmt.Errorf("unjustified transition %q: %v", s.Label, err)
 			}
 			seen[action]++
 			if named[s.Label] && action != s.Label {
-				t.Fatalf("label %q justified as %q", s.Label, action)
+				return fmt.Errorf("label %q justified as %q", s.Label, action)
 			}
+			return nil
 		})
 	// Every Figure 4 action must actually occur somewhere in the graph.
 	for a := range named {
@@ -60,15 +67,16 @@ func TestJustifyMatchesLabels(t *testing.T) {
 func TestJustifyRejectsWrongThread(t *testing.T) {
 	checked := 0
 	walk(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}}},
-		func(pre, post *model.ExchangerState, s sched.Succ) {
+		func(pre, post *model.ExchangerState, s sched.Succ) error {
 			if s.Label != rg.ActionXchg {
-				return
+				return nil
 			}
 			checked++
 			other := history.ThreadID((s.Thread+1)%2 + 1)
 			if action, err := rg.Justify(pre, post, other); err == nil {
-				t.Fatalf("XCHG of t%d wrongly justified for %s as %s", s.Thread+1, other, action)
+				return fmt.Errorf("XCHG of t%d wrongly justified for %s as %s", s.Thread+1, other, action)
 			}
+			return nil
 		})
 	if checked == 0 {
 		t.Error("no XCHG transitions found")
@@ -79,15 +87,16 @@ func TestJustifyRejectsWrongThread(t *testing.T) {
 // thread-attributed.
 func TestJustifyRejectsWrongThreadPassInit(t *testing.T) {
 	walk(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}}},
-		func(pre, post *model.ExchangerState, s sched.Succ) {
+		func(pre, post *model.ExchangerState, s sched.Succ) error {
 			if s.Label != rg.ActionInit && s.Label != rg.ActionPass {
-				return
+				return nil
 			}
 			other := history.ThreadID((s.Thread+1)%2 + 1)
 			action, err := rg.Justify(pre, post, other)
 			if err == nil && action != rg.ActionTau && action != rg.ActionAlloc {
-				t.Fatalf("%s of t%d justified for %s as %s", s.Label, s.Thread+1, other, action)
+				return fmt.Errorf("%s of t%d justified for %s as %s", s.Label, s.Thread+1, other, action)
 			}
+			return nil
 		})
 }
 
