@@ -32,6 +32,12 @@ go test -race -short ./...
 echo "== go test -race -short -cpu 1,2,4 ./internal/sched/ ./internal/model/ ./internal/rg/ =="
 go test -race -short -cpu 1,2,4 ./internal/sched/ ./internal/model/ ./internal/rg/
 
+# The pinned state counts and the key-exactness check hold the explorer's
+# state identity; run them in full (dualstack and F2 included) at several
+# core counts, not only at this machine's GOMAXPROCS.
+echo "== go test -run 'TestParallelEquivalence|TestStateCounts|TestKeyExact' -cpu 1,2,4 ./internal/model/ =="
+go test -run 'TestParallelEquivalence|TestStateCounts|TestKeyExact' -cpu 1,2,4 ./internal/model/
+
 # The parallel engine, the batch checker, the daemon's job queue, the
 # specialized monitors and the run-history store are the packages whose
 # correctness depends on cross-goroutine coordination (the monitors via

@@ -19,7 +19,8 @@
 // committed baseline — a BENCH_*.json document, or a run-store
 // directory whose newest bench record (by generation time) is used;
 // -gate N turns a worse-than-N% regression in any comparable cell into
-// exit 1, and -repeat M measures each table M times keeping each
+// exit 1 (exit 2 when the baseline was taken at another GOMAXPROCS or
+// -dur window, since such deltas cannot gate), and -repeat M measures each table M times keeping each
 // cell's best rate, so one noisy scheduler stall cannot fail the gate
 // (min-of-N noise floor; see EXPERIMENTS.md).
 // -auto DIR does the whole bookkeeping at once: it maintains a
@@ -73,7 +74,7 @@ var (
 	jsonPath = flag.String("json", "", "also write the sweep tables as JSON to this path (e.g. BENCH_<date>.json)")
 	compare  = flag.String("compare", "", "compare this run's rates against a baseline BENCH_*.json and print per-cell deltas")
 	auto     = flag.String("auto", "", "accumulate the perf trajectory in the run-history store in this directory: compare against the newest trajectory point there (unless -compare is set) and record this run's tables, plus BENCH_<date>.json unless -json is set")
-	gate     = flag.Float64("gate", 0, "with -compare: exit 1 when any cell regresses by more than this percentage (0 = warn only)")
+	gate     = flag.Float64("gate", 0, "with -compare: exit 1 when any cell regresses by more than this percentage, exit 2 when the baseline's gomaxprocs or window differs from this run's (0 = warn only)")
 	repeat   = flag.Int("repeat", 1, "measure every table this many times and keep each cell's best rate — the min-of-N noise floor that keeps -compare from flagging scheduler noise as regression")
 )
 
@@ -236,9 +237,12 @@ func run() int {
 		if err != nil {
 			return fail("comparing baseline", err)
 		}
-		if *gate > 0 && worst.pct > *gate {
-			fmt.Printf("REGRESSION: %s is %.1f%% below baseline, gate is %.0f%%\n", worst.cell, worst.pct, *gate)
-			exit = 1
+		if *gate > 0 {
+			var msg string
+			exit, msg = gateVerdict(base, worst, *gate)
+			if msg != "" {
+				fmt.Println(msg)
+			}
 		}
 	}
 
@@ -438,9 +442,8 @@ func compareBaseline(label string, base *jsonReport, tables []jsonTable) (regres
 	}
 	fmt.Printf("compare vs %s (baseline: gomaxprocs=%d, window=%s, generated %s)\n",
 		label, base.GOMAXPROCS, base.Window, base.Generated)
-	if base.GOMAXPROCS != runtime.GOMAXPROCS(0) || base.Window != duration.String() {
-		fmt.Printf("note: baseline settings differ from this run (gomaxprocs=%d, window=%v); deltas are indicative only\n",
-			runtime.GOMAXPROCS(0), *duration)
+	if diff := settingsDiff(base); diff != "" {
+		fmt.Printf("note: %s; deltas are indicative only\n", diff)
 	}
 
 	baseTables := make(map[string]jsonTable, len(base.Tables))
@@ -507,6 +510,31 @@ func compareBaseline(label string, base *jsonReport, tables []jsonTable) (regres
 		fmt.Println("no cell regressed below its baseline")
 	}
 	return worst, nil
+}
+
+// settingsDiff names both sides' settings when the baseline was taken at
+// a different GOMAXPROCS or measurement window than this run, and
+// returns "" when they match.
+func settingsDiff(base *jsonReport) string {
+	if base.GOMAXPROCS == runtime.GOMAXPROCS(0) && base.Window == duration.String() {
+		return ""
+	}
+	return fmt.Sprintf("baseline settings (gomaxprocs=%d, window=%s) differ from this run (gomaxprocs=%d, window=%s)",
+		base.GOMAXPROCS, base.Window, runtime.GOMAXPROCS(0), duration.String())
+}
+
+// gateVerdict decides -gate: exit 1 with a REGRESSION line when the worst
+// cell fell further below baseline than gate percent, 0 otherwise. Deltas
+// across different settings measure the settings, not the code, so a
+// baseline taken at another GOMAXPROCS or window is refused with exit 2.
+func gateVerdict(base *jsonReport, worst regression, gate float64) (int, string) {
+	if diff := settingsDiff(base); diff != "" {
+		return 2, fmt.Sprintf("GATE REFUSED: %s; re-run with the baseline's settings to gate", diff)
+	}
+	if worst.pct > gate {
+		return 1, fmt.Sprintf("REGRESSION: %s is %.1f%% below baseline, gate is %.0f%%", worst.cell, worst.pct, gate)
+	}
+	return 0, ""
 }
 
 // sweep runs work on each goroutine count for the window and returns

@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -129,5 +131,44 @@ func TestAutoRejectsURL(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("rejected -auto left %d entries behind, first %q", len(entries), entries[0].Name())
+	}
+}
+
+// TestGateRefusesAcrossSettings: -gate compares like with like. A
+// baseline taken at another GOMAXPROCS or window exits 2 with both
+// settings named, whatever the deltas; matching settings gate as usual.
+func TestGateRefusesAcrossSettings(t *testing.T) {
+	oldDur := *duration
+	defer func() { *duration = oldDur }()
+	*duration = 500 * time.Millisecond
+	procs := runtime.GOMAXPROCS(0)
+	bad := regression{pct: 50, cell: `B1 "treiber" goroutines=2`}
+
+	for _, base := range []jsonReport{
+		{GOMAXPROCS: procs + 1, Window: "500ms"},
+		{GOMAXPROCS: procs, Window: "20ms"},
+	} {
+		for _, worst := range []regression{bad, {pct: -1}} {
+			exit, msg := gateVerdict(&base, worst, 20)
+			if exit != 2 {
+				t.Errorf("baseline %d/%s, worst %.0f%%: exit %d, want 2", base.GOMAXPROCS, base.Window, worst.pct, exit)
+			}
+			for _, want := range []string{
+				fmt.Sprintf("gomaxprocs=%d, window=%s", base.GOMAXPROCS, base.Window),
+				fmt.Sprintf("gomaxprocs=%d, window=500ms", procs),
+			} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("refusal %q does not name %q", msg, want)
+				}
+			}
+		}
+	}
+
+	same := jsonReport{GOMAXPROCS: procs, Window: "500ms"}
+	if exit, msg := gateVerdict(&same, bad, 20); exit != 1 || !strings.Contains(msg, "REGRESSION") {
+		t.Errorf("matching settings, 50%% regression: exit %d (%q), want 1", exit, msg)
+	}
+	if exit, msg := gateVerdict(&same, regression{pct: 5}, 20); exit != 0 || msg != "" {
+		t.Errorf("matching settings, 5%% regression: exit %d (%q), want 0", exit, msg)
 	}
 }

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -204,7 +205,42 @@ func (h History) Append(events ...Event) History {
 	return append(out, events...)
 }
 
-// String renders the history one action per line.
+// AppendKey appends an exact binary encoding of h to b and returns the
+// extended slice: the event count, then each event's kind and fields.
+// Every section is length-prefixed, so two histories share an encoding
+// only if they are equal; model checkers use it as state identity. It is
+// not meant to be read: String and Format are for display.
+func (h History) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(h)))
+	for _, e := range h {
+		b = append(b, byte(e.Kind))
+		b = AppendOpKey(b, e.Thread, e.Object, e.Method, e.Arg, e.Ret)
+	}
+	return b
+}
+
+// AppendOpKey appends the exact encoding of one operation's fields to b:
+// the layout that History.AppendKey and trace.Trace.AppendKey share.
+func AppendOpKey(b []byte, t ThreadID, o ObjectID, f Method, arg, ret Value) []byte {
+	b = binary.AppendVarint(b, int64(t))
+	b = appendString(b, string(o))
+	b = appendString(b, string(f))
+	return ret.appendKey(arg.appendKey(b))
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func (v Value) appendKey(b []byte) []byte {
+	var flag byte
+	if v.B {
+		flag = 1
+	}
+	return binary.AppendVarint(append(b, byte(v.Kind), flag), v.N)
+}
+
+// String renders the history one action per line, for display.
 func (h History) String() string {
 	var b strings.Builder
 	for i, e := range h {

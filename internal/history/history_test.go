@@ -263,3 +263,40 @@ func TestAppendDoesNotAlias(t *testing.T) {
 		t.Error("Append aliased backing arrays")
 	}
 }
+
+// TestAppendKeyExact: AppendKey tells apart histories whose display
+// forms coincide, and encodes equal histories alike.
+func TestAppendKeyExact(t *testing.T) {
+	key := func(h History) string { return string(h.AppendKey(nil)) }
+	// "E.x" + "y" and "E" + "x.y" both render as E.x.y.
+	a := History{Inv(1, "E.x", "y", Int(1))}
+	b := History{Inv(1, "E", "x.y", Int(1))}
+	if Format(a) != Format(b) {
+		t.Fatalf("premise: Format(a) = %q, Format(b) = %q", Format(a), Format(b))
+	}
+	distinct := []History{
+		nil, a, b,
+		{Inv(1, objE, exch, Int(3))},
+		{Inv(2, objE, exch, Int(3))},
+		{Inv(1, objE, exch, Int(4))},
+		{Inv(1, objE, exch, Bool(true))},
+		{Inv(1, objE, exch, Pair(true, 3))},
+		{Inv(1, objE, exch, Pair(false, 3))},
+		{Res(1, objE, exch, Int(3))},
+		{Inv(1, objE, exch, Int(3)), Res(1, objE, exch, Pair(true, 4))},
+		{Inv(1, objE, exch, Int(3)), Res(1, objE, exch, Pair(true, -4))},
+	}
+	seen := map[string]int{}
+	for i, h := range distinct {
+		if j, dup := seen[key(h)]; dup {
+			t.Errorf("histories %d and %d share a key:\n%v\n%v", j, i, distinct[j], h)
+		}
+		seen[key(h)] = i
+	}
+	if key(fig3H1()) != key(append(History(nil), fig3H1()...)) {
+		t.Error("equal histories encode differently")
+	}
+	if key(History{}) != key(nil) {
+		t.Error("nil and empty histories encode differently")
+	}
+}

@@ -12,7 +12,8 @@ import (
 //	inv t1 E.exchange 3
 //	res t1 E.exchange (true,4)
 //
-// Blank lines and lines starting with '#' are ignored by Parse.
+// Blank lines and lines starting with '#' are ignored by Parse. Format is
+// for display and interchange; History.AppendKey identifies a history.
 func Format(h History) string {
 	var b strings.Builder
 	for _, e := range h {

@@ -87,8 +87,10 @@ type StreamConfig struct {
 	// MaxClosed bounds retained closed streams, evicted oldest-first
 	// (default 64).
 	MaxClosed int
-	// Metrics receives the stream.* counters and gauges; one registry
-	// may be shared with the job manager (default: a private registry).
+	// Metrics receives the manager's streams.* counters and gauges, and
+	// each stream's own stream.* counters (stream.events counts the
+	// accepted events); one registry may be shared with the job manager
+	// (default: a private registry).
 	Metrics *obs.Metrics
 	// Logger receives lifecycle diagnostics (default: silent).
 	Logger *slog.Logger
@@ -114,8 +116,8 @@ type StreamManager struct {
 	draining atomic.Bool
 	stopCh   chan struct{}
 
-	cOpened, cClosed, cShed, cRateLimited, cEvents *obs.Counter
-	gOpen                                          *obs.Gauge
+	cOpened, cClosed, cShed, cRateLimited *obs.Counter
+	gOpen                                 *obs.Gauge
 }
 
 type servedStream struct {
@@ -167,7 +169,6 @@ func NewStreamManager(cfg StreamConfig) *StreamManager {
 		cClosed:      cfg.Metrics.Counter("streams.closed"),
 		cShed:        cfg.Metrics.Counter("streams.shed"),
 		cRateLimited: cfg.Metrics.Counter("streams.rate_limited"),
-		cEvents:      cfg.Metrics.Counter("streams.events"),
 		gOpen:        cfg.Metrics.Gauge("streams.open"),
 	}
 	return m
@@ -285,7 +286,6 @@ func (m *StreamManager) Feed(id, batch string) (StreamDoc, error) {
 		}
 		fed++
 	}
-	m.cEvents.Add(int64(fed))
 	ss.doc.Verdict = ss.s.Verdict()
 	doc := ss.doc
 	m.notifyLocked(ss)

@@ -1,9 +1,7 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"calgo/internal/history"
 	"calgo/internal/sched"
@@ -65,15 +63,6 @@ const (
 	qdDoneQ
 )
 
-type dqNode struct {
-	IsRes     bool
-	Tid       history.ThreadID
-	Data      int64
-	Hole      int // dsNoHole (data), dsOpen, dsCancelled, 1 = fulfilled
-	Next      int // node index or -1
-	Fulfilled bool
-}
-
 type dqThread struct {
 	pc    int
 	op    int
@@ -86,15 +75,20 @@ type dqThread struct {
 	retV  int64
 }
 
+func (th dqThread) appendKey(k []byte) []byte {
+	k = appendInts(appendInts(k, th.pc, th.op, th.round, th.head, th.tail, th.first, th.n), th.retV)
+	return appendBools(k, th.retOK)
+}
+
+func (th dqThread) done() bool { return th.pc == qdDoneQ }
+
 // DQState is one state of the dual-queue model.
 type DQState struct {
-	cfg     *DQConfig
-	Threads []dqThread
-	Nodes   []dqNode // Nodes[0] is the initial dummy
-	Head    int
-	Tail    int
-	Trace   trace.Trace
-	Hist    history.History
+	state[dqThread]
+	cfg   *DQConfig
+	Nodes []dualNode // Nodes[0] is the initial dummy
+	Head  int
+	Tail  int
 }
 
 var _ sched.State = (*DQState)(nil)
@@ -108,7 +102,7 @@ func NewDualQueue(cfg DQConfig) *DQState {
 		cfg.Retries = 2
 	}
 	st := &DQState{cfg: &cfg}
-	st.Nodes = []dqNode{{Hole: dsNoHole, Next: -1}} // dummy
+	st.Nodes = []dualNode{{Hole: dsNoHole, Next: -1}} // dummy
 	st.Head, st.Tail = 0, 0
 	for range cfg.Programs {
 		st.Threads = append(st.Threads, dqThread{pc: qdIdle, head: -1, tail: -1, first: -1, n: -1})
@@ -119,52 +113,17 @@ func NewDualQueue(cfg DQConfig) *DQState {
 // Object returns the modelled queue's object id.
 func (s *DQState) Object() history.ObjectID { return s.cfg.Object }
 
-// History implements HT.
-func (s *DQState) History() history.History { return s.Hist }
-
-// AuxTrace implements HT.
-func (s *DQState) AuxTrace() trace.Trace { return s.Trace }
-
 // Key implements sched.State.
 func (s *DQState) Key() string {
-	var b strings.Builder
-	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d.%d.%d.%t.%d|", th.pc, th.op, th.round, th.head, th.tail, th.first, th.n, th.retOK, th.retV)
-	}
-	b.WriteString("h")
-	b.WriteString(strconv.Itoa(s.Head))
-	b.WriteString("t")
-	b.WriteString(strconv.Itoa(s.Tail))
-	for _, n := range s.Nodes {
-		fmt.Fprintf(&b, ";%t.%d.%d.%d.%d.%t", n.IsRes, n.Tid, n.Data, n.Hole, n.Next, n.Fulfilled)
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
-}
-
-// Done implements sched.State.
-func (s *DQState) Done() bool {
-	for _, th := range s.Threads {
-		if th.pc != qdDoneQ {
-			return false
-		}
-	}
-	return true
+	k := appendInts(s.appendKey(nil), s.Head, s.Tail)
+	return string(appendSection(k, s.Nodes))
 }
 
 func (s *DQState) clone() *DQState {
-	return &DQState{
-		cfg:     s.cfg,
-		Threads: append([]dqThread(nil), s.Threads...),
-		Nodes:   append([]dqNode(nil), s.Nodes...),
-		Head:    s.Head,
-		Tail:    s.Tail,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
-	}
+	c := *s
+	c.state = s.state.clone()
+	c.Nodes = slices.Clone(s.Nodes)
+	return &c
 }
 
 func (s *DQState) qOpOf(t int) QOp { return s.cfg.Programs[t][s.Threads[t].op] }
@@ -180,31 +139,23 @@ func (s *DQState) qRetry(c *DQState, t, backTo int) {
 }
 
 // Successors implements sched.State.
-func (s *DQState) Successors() []sched.Succ {
-	var out []sched.Succ
-	for t := range s.Threads {
-		if succ, ok := s.step(t); ok {
-			out = append(out, succ)
-		}
-	}
-	return out
-}
+func (s *DQState) Successors() []sched.Succ { return s.successors(s.step) }
 
-func (s *DQState) step(t int) (sched.Succ, bool) {
+func (s *DQState) step(t int, out []sched.Succ) []sched.Succ {
 	th := s.Threads[t]
 	if th.pc == qdDoneQ || th.pc == qdHaltQ {
-		return sched.Succ{}, false
+		return out
 	}
 	id := tid(t)
 	obj := s.cfg.Object
 	op := s.qOpOf(t)
-	mk := func(label string, next *DQState) (sched.Succ, bool) {
-		return sched.Succ{Thread: t, Label: label, Next: next}, true
+	c := s.clone()
+	nt := &c.Threads[t]
+	mk := func(label string) []sched.Succ {
+		return append(out, sched.Succ{Thread: t, Label: label, Next: c})
 	}
 	switch th.pc {
 	case qdIdle:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.round = 0
 		if op.IsEnq {
 			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodEnq, history.Int(op.V)))
@@ -213,17 +164,13 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodDeq, history.Unit()))
 			nt.pc = qdDeqRead
 		}
-		return mk("inv", c)
+		return mk("inv")
 	case qdEnqRead:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.head = s.Head
 		nt.first = s.Nodes[s.Head].Next
 		nt.pc = qdEnqDecide
-		return mk("read-head", c)
+		return mk("read-head")
 	case qdEnqDecide:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.tail = s.Tail
 		appendMode := s.Tail == th.head || !s.Nodes[s.Tail].IsRes
 		if s.cfg.HeadKindBug {
@@ -235,22 +182,20 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 				// Tail lagging: help swing, restart the attempt.
 				c.Tail = s.Nodes[s.Tail].Next
 				nt.pc = qdEnqRead
-				return mk("tail-swing", c)
+				return mk("tail-swing")
 			}
-			c.Nodes = append(c.Nodes, dqNode{Tid: id, Data: op.V, Hole: dsNoHole, Next: -1})
+			c.Nodes = append(c.Nodes, dualNode{Tid: id, Data: op.V, Hole: dsNoHole, Next: -1})
 			nt.n = len(c.Nodes) - 1
 			nt.pc = qdEnqCAS
-			return mk("decide-append", c)
+			return mk("decide-append")
 		}
 		if th.first == -1 || !s.Nodes[th.first].IsRes {
 			nt.pc = qdEnqRead // inconsistent snapshot: restart
-			return mk("decide-retry", c)
+			return mk("decide-retry")
 		}
 		nt.pc = qdFulfil
-		return mk("decide-fulfil", c)
+		return mk("decide-fulfil")
 	case qdEnqCAS:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Nodes[th.tail].Next == -1 {
 			c.Nodes[th.tail].Next = th.n
 			c.Trace = append(c.Trace, trace.Singleton(trace.Operation{
@@ -258,22 +203,18 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 				Arg: history.Int(op.V), Ret: history.Bool(true),
 			}))
 			nt.pc = qdEnqSwing
-			return mk("ENQ", c)
+			return mk("ENQ")
 		}
 		s.qRetry(c, t, qdEnqRead)
-		return mk("enq-miss", c)
+		return mk("enq-miss")
 	case qdEnqSwing:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Tail == th.tail {
 			c.Tail = th.n
 		}
 		nt.retOK = true
 		nt.pc = qdRet
-		return mk("tail-swing", c)
+		return mk("tail-swing")
 	case qdFulfil:
-		c := s.clone()
-		nt := &c.Threads[t]
 		r := s.Nodes[th.first]
 		if r.Hole == dsOpen {
 			c.Nodes[th.first].Hole = 1
@@ -282,14 +223,12 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 			c.Trace = append(c.Trace, spec.QFulfilmentElement(obj, id, op.V, r.Tid))
 			nt.retOK = true
 			nt.pc = qdFulfilHead
-			return mk("FULFIL", c)
+			return mk("FULFIL")
 		}
 		nt.retOK = false
 		nt.pc = qdFulfilHead
-		return mk("fulfil-miss", c)
+		return mk("fulfil-miss")
 	case qdFulfilHead:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Head == th.head {
 			c.Head = th.first // dequeue the settled reservation
 		}
@@ -298,17 +237,13 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 		} else {
 			s.qRetry(c, t, qdEnqRead)
 		}
-		return mk("head-swing", c)
+		return mk("head-swing")
 	case qdDeqRead:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.head = s.Head
 		nt.first = s.Nodes[s.Head].Next
 		nt.pc = qdDeqDecide
-		return mk("read-head", c)
+		return mk("read-head")
 	case qdDeqDecide:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.tail = s.Tail
 		reserveMode := s.Tail == th.head || s.Nodes[s.Tail].IsRes
 		if s.cfg.HeadKindBug {
@@ -318,12 +253,12 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 			if s.Nodes[s.Tail].Next != -1 {
 				c.Tail = s.Nodes[s.Tail].Next
 				nt.pc = qdDeqRead
-				return mk("tail-swing", c)
+				return mk("tail-swing")
 			}
-			c.Nodes = append(c.Nodes, dqNode{IsRes: true, Tid: id, Hole: dsOpen, Next: -1})
+			c.Nodes = append(c.Nodes, dualNode{IsRes: true, Tid: id, Hole: dsOpen, Next: -1})
 			nt.n = len(c.Nodes) - 1
 			nt.pc = qdResCAS
-			return mk("decide-reserve", c)
+			return mk("decide-reserve")
 		}
 		if th.first == -1 || s.Nodes[th.first].IsRes {
 			// Inconsistent snapshot or dead reservation: help and restart.
@@ -332,13 +267,11 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 				c.Head = th.first
 			}
 			nt.pc = qdDeqRead
-			return mk("decide-retry", c)
+			return mk("decide-retry")
 		}
 		nt.pc = qdDeqCAS
-		return mk("decide-deq", c)
+		return mk("decide-deq")
 	case qdDeqCAS:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Head == th.head {
 			c.Head = th.first
 			v := s.Nodes[th.first].Data
@@ -348,36 +281,30 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 			}))
 			nt.retOK, nt.retV = true, v
 			nt.pc = qdRet
-			return mk("DEQ", c)
+			return mk("DEQ")
 		}
 		s.qRetry(c, t, qdDeqRead)
-		return mk("deq-miss", c)
+		return mk("deq-miss")
 	case qdResCAS:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Nodes[th.tail].Next == -1 {
 			c.Nodes[th.tail].Next = th.n
 			nt.pc = qdResSwing
-			return mk("RESERVE", c)
+			return mk("RESERVE")
 		}
 		s.qRetry(c, t, qdDeqRead)
-		return mk("reserve-miss", c)
+		return mk("reserve-miss")
 	case qdResSwing:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Tail == th.tail {
 			c.Tail = th.n
 		}
 		nt.pc = qdAwait
-		return mk("tail-swing", c)
+		return mk("tail-swing")
 	case qdAwait:
-		c := s.clone()
-		nt := &c.Threads[t]
 		r := s.Nodes[th.n]
 		if r.Fulfilled {
 			nt.retOK, nt.retV = true, r.Data
 			nt.pc = qdRet
-			return mk("fulfilled", c)
+			return mk("fulfilled")
 		}
 		c.Nodes[th.n].Hole = dsCancelled
 		c.Trace = append(c.Trace, trace.Singleton(trace.Operation{
@@ -386,10 +313,8 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 		}))
 		nt.retOK, nt.retV = false, 0
 		nt.pc = qdRet
-		return mk("CANCEL", c)
+		return mk("CANCEL")
 	case qdRet:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if op.IsEnq {
 			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodEnq, history.Bool(true)))
 		} else {
@@ -402,8 +327,8 @@ func (s *DQState) step(t int) (sched.Succ, bool) {
 		} else {
 			nt.pc = qdDoneQ
 		}
-		return mk("res", c)
+		return mk("res")
 	default:
-		return sched.Succ{}, false
+		return out
 	}
 }

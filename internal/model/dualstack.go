@@ -1,14 +1,11 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
-	"calgo/internal/trace"
 )
 
 // Hole states of modelled dual-stack reservations (data nodes use dsNoHole).
@@ -50,13 +47,20 @@ const (
 	dpcDone
 )
 
-type dsNode struct {
+// dualNode is a node of the dual stack or the dual queue: a datum or a
+// reservation.
+type dualNode struct {
 	IsRes     bool
 	Tid       history.ThreadID
 	Data      int64 // datum (data node) or fulfilment value (reservation)
 	Hole      int   // dsNoHole, dsOpen, dsCancelled, or 1 (fulfilled)
-	Next      int
+	Next      int   // node index or -1
 	Fulfilled bool
+}
+
+func (n dualNode) appendKey(k []byte) []byte {
+	k = appendInts(appendInts(k, int(n.Tid), n.Hole, n.Next), n.Data)
+	return appendBools(k, n.IsRes, n.Fulfilled)
 }
 
 type dsThread struct {
@@ -70,14 +74,19 @@ type dsThread struct {
 	retV     int64
 }
 
+func (th dsThread) appendKey(k []byte) []byte {
+	k = appendInts(appendInts(k, th.pc, th.op, th.round, th.h, th.n), th.retV)
+	return appendBools(k, th.pushDone, th.retOK)
+}
+
+func (th dsThread) done() bool { return th.pc == dpcDone }
+
 // DSState is one state of the dual-stack model.
 type DSState struct {
-	cfg     *DSConfig
-	Threads []dsThread
-	Nodes   []dsNode
-	Top     int
-	Trace   trace.Trace
-	Hist    history.History
+	state[dsThread]
+	cfg   *DSConfig
+	Nodes []dualNode
+	Top   int
 }
 
 var _ sched.State = (*DSState)(nil)
@@ -100,49 +109,17 @@ func NewDualStack(cfg DSConfig) *DSState {
 // Object returns the modelled dual stack's object id.
 func (s *DSState) Object() history.ObjectID { return s.cfg.Object }
 
-// History implements HT.
-func (s *DSState) History() history.History { return s.Hist }
-
-// AuxTrace implements HT.
-func (s *DSState) AuxTrace() trace.Trace { return s.Trace }
-
 // Key implements sched.State.
 func (s *DSState) Key() string {
-	var b strings.Builder
-	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d.%t.%t.%d|", th.pc, th.op, th.round, th.h, th.n, th.pushDone, th.retOK, th.retV)
-	}
-	b.WriteString("top")
-	b.WriteString(strconv.Itoa(s.Top))
-	for _, n := range s.Nodes {
-		fmt.Fprintf(&b, ";%t.%d.%d.%d.%d.%t", n.IsRes, n.Tid, n.Data, n.Hole, n.Next, n.Fulfilled)
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
-}
-
-// Done implements sched.State.
-func (s *DSState) Done() bool {
-	for _, th := range s.Threads {
-		if th.pc != dpcDone {
-			return false
-		}
-	}
-	return true
+	k := appendInts(s.appendKey(nil), s.Top)
+	return string(appendSection(k, s.Nodes))
 }
 
 func (s *DSState) clone() *DSState {
-	return &DSState{
-		cfg:     s.cfg,
-		Threads: append([]dsThread(nil), s.Threads...),
-		Nodes:   append([]dsNode(nil), s.Nodes...),
-		Top:     s.Top,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
-	}
+	c := *s
+	c.state = s.state.clone()
+	c.Nodes = slices.Clone(s.Nodes)
+	return &c
 }
 
 func (s *DSState) dsOpOf(t int) StackOp { return s.cfg.Programs[t][s.Threads[t].op] }
@@ -159,31 +136,23 @@ func (s *DSState) retry(c *DSState, t, backTo int) {
 }
 
 // Successors implements sched.State.
-func (s *DSState) Successors() []sched.Succ {
-	var out []sched.Succ
-	for t := range s.Threads {
-		if succ, ok := s.step(t); ok {
-			out = append(out, succ)
-		}
-	}
-	return out
-}
+func (s *DSState) Successors() []sched.Succ { return s.successors(s.step) }
 
-func (s *DSState) step(t int) (sched.Succ, bool) {
+func (s *DSState) step(t int, out []sched.Succ) []sched.Succ {
 	th := s.Threads[t]
 	if th.pc == dpcDone || th.pc == dpcHalt {
-		return sched.Succ{}, false
+		return out
 	}
 	id := tid(t)
 	obj := s.cfg.Object
 	op := s.dsOpOf(t)
-	mk := func(label string, next *DSState) (sched.Succ, bool) {
-		return sched.Succ{Thread: t, Label: label, Next: next}, true
+	c := s.clone()
+	nt := &c.Threads[t]
+	mk := func(label string) []sched.Succ {
+		return append(out, sched.Succ{Thread: t, Label: label, Next: c})
 	}
 	switch th.pc {
 	case dpcIdle:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.round = 0
 		if op.IsPush {
 			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPush, history.Int(op.V)))
@@ -192,10 +161,8 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPop, history.Unit()))
 			nt.pc = dpcPopRead
 		}
-		return mk("inv", c)
+		return mk("inv")
 	case dpcPushRead:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.h = s.Top
 		if s.Top != -1 && s.Nodes[s.Top].IsRes {
 			if s.Nodes[s.Top].Hole == dsOpen {
@@ -204,27 +171,23 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 				nt.pushDone = false
 				nt.pc = dpcUnlinkPush // settled reservation: help unlink
 			}
-			return mk("read-top", c)
+			return mk("read-top")
 		}
-		c.Nodes = append(c.Nodes, dsNode{Tid: id, Data: op.V, Hole: dsNoHole, Next: s.Top})
+		c.Nodes = append(c.Nodes, dualNode{Tid: id, Data: op.V, Hole: dsNoHole, Next: s.Top})
 		nt.n = len(c.Nodes) - 1
 		nt.pc = dpcPushCAS
-		return mk("read-top", c)
+		return mk("read-top")
 	case dpcPushCAS:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == th.h {
 			c.Top = th.n
 			c.Trace = append(c.Trace, spec.PushElement(obj, id, op.V, true))
 			nt.retOK = true
 			nt.pc = dpcRet
-			return mk("PUSH", c)
+			return mk("PUSH")
 		}
 		s.retry(c, t, dpcPushRead)
-		return mk("push-miss", c)
+		return mk("push-miss")
 	case dpcFulfil:
-		c := s.clone()
-		nt := &c.Threads[t]
 		r := s.Nodes[th.h]
 		if r.Hole == dsOpen {
 			c.Nodes[th.h].Hole = 1
@@ -233,14 +196,12 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 			c.Trace = append(c.Trace, spec.FulfilmentElement(obj, id, op.V, r.Tid))
 			nt.pushDone = true
 			nt.pc = dpcUnlinkPush
-			return mk("FULFIL", c)
+			return mk("FULFIL")
 		}
 		nt.pushDone = false
 		nt.pc = dpcUnlinkPush
-		return mk("fulfil-miss", c)
+		return mk("fulfil-miss")
 	case dpcUnlinkPush:
-		c := s.clone()
-		nt := &c.Threads[t]
 		label := "unlink-miss"
 		if s.Top == th.h && th.h != -1 {
 			c.Top = s.Nodes[th.h].Next
@@ -252,22 +213,20 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 		} else {
 			s.retry(c, t, dpcPushRead)
 		}
-		return mk(label, c)
+		return mk(label)
 	case dpcPopRead:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.h = s.Top
 		switch {
 		case s.Top == -1:
 			// Install a reservation on the empty stack.
 			var hole int = dsOpen
-			c.Nodes = append(c.Nodes, dsNode{IsRes: true, Tid: id, Hole: hole, Next: s.Top})
+			c.Nodes = append(c.Nodes, dualNode{IsRes: true, Tid: id, Hole: hole, Next: s.Top})
 			nt.n = len(c.Nodes) - 1
 			nt.pc = dpcResInstall
 		case s.Nodes[s.Top].IsRes:
 			if s.Nodes[s.Top].Hole == dsOpen {
 				// Reservations waiting: stack our own on top.
-				c.Nodes = append(c.Nodes, dsNode{IsRes: true, Tid: id, Hole: dsOpen, Next: s.Top})
+				c.Nodes = append(c.Nodes, dualNode{IsRes: true, Tid: id, Hole: dsOpen, Next: s.Top})
 				nt.n = len(c.Nodes) - 1
 				nt.pc = dpcResInstall
 			} else {
@@ -278,42 +237,35 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 		default:
 			nt.pc = dpcPopCAS
 		}
-		return mk("read-top", c)
+		return mk("read-top")
 	case dpcUnlinkPop:
-		c := s.clone()
 		label := "unlink-miss"
 		if s.Top == th.h && th.h != -1 {
 			c.Top = s.Nodes[th.h].Next
 			label = "unlink"
 		}
 		s.retry(c, t, dpcPopRead)
-		return mk(label, c)
+		return mk(label)
 	case dpcPopCAS:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == th.h {
 			c.Top = s.Nodes[th.h].Next
 			v := s.Nodes[th.h].Data
 			c.Trace = append(c.Trace, spec.PopElement(obj, id, true, v))
 			nt.retOK, nt.retV = true, v
 			nt.pc = dpcRet
-			return mk("POP", c)
+			return mk("POP")
 		}
 		s.retry(c, t, dpcPopRead)
-		return mk("pop-miss", c)
+		return mk("pop-miss")
 	case dpcResInstall:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == th.h {
 			c.Top = th.n
 			nt.pc = dpcAwait
-			return mk("RESERVE", c)
+			return mk("RESERVE")
 		}
 		s.retry(c, t, dpcPopRead)
-		return mk("reserve-miss", c)
+		return mk("reserve-miss")
 	case dpcAwait:
-		c := s.clone()
-		nt := &c.Threads[t]
 		r := s.Nodes[th.n]
 		if r.Fulfilled {
 			// Help unlink our settled reservation, then return the value.
@@ -322,7 +274,7 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 			}
 			nt.retOK, nt.retV = true, r.Data
 			nt.pc = dpcRet
-			return mk("fulfilled", c)
+			return mk("fulfilled")
 		}
 		// Patience exhausted at this schedule point: cancel.
 		c.Nodes[th.n].Hole = dsCancelled
@@ -332,10 +284,8 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 		}
 		nt.retOK, nt.retV = false, 0
 		nt.pc = dpcRet
-		return mk("CANCEL", c)
+		return mk("CANCEL")
 	case dpcRet:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if op.IsPush {
 			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodPush, history.Bool(true)))
 		} else {
@@ -348,8 +298,8 @@ func (s *DSState) step(t int) (sched.Succ, bool) {
 		} else {
 			nt.pc = dpcDone
 		}
-		return mk("res", c)
+		return mk("res")
 	default:
-		return sched.Succ{}, false
+		return out
 	}
 }

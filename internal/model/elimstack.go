@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 
 	"calgo/internal/history"
@@ -62,16 +62,21 @@ type esThread struct {
 	retV  int64
 }
 
+func (th esThread) appendKey(k []byte) []byte {
+	k = appendInts(k, th.pc, th.op, th.round, th.h, th.n, th.slot, th.xn, th.xcur)
+	return appendBools(appendInts(k, th.retV), th.xs)
+}
+
+func (th esThread) done() bool { return th.pc == epcDone }
+
 // ESState is one state of the elimination-stack model.
 type ESState struct {
-	cfg     *ESConfig
-	Threads []esThread
-	Cells   []Cell
-	Top     int
-	G       []int // per-slot installed offer, -1 when empty
-	Offers  []Offer
-	Trace   trace.Trace
-	Hist    history.History
+	state[esThread]
+	cfg    *ESConfig
+	Cells  []Cell
+	Top    int
+	G      []int // per-slot installed offer, -1 when empty
+	Offers []Offer
 }
 
 var _ sched.State = (*ESState)(nil)
@@ -108,12 +113,6 @@ func (s *ESState) arID() history.ObjectID    { return s.cfg.Object + ".AR" }
 func (s *ESState) slotID(i int) history.ObjectID {
 	return history.ObjectID(fmt.Sprintf("%s.E[%d]", s.arID(), i))
 }
-
-// History implements HT.
-func (s *ESState) History() history.History { return s.Hist }
-
-// AuxTrace implements HT.
-func (s *ESState) AuxTrace() trace.Trace { return s.Trace }
 
 // Project is the composition F_ES ∘ F̂_AR over the model's raw trace: slot
 // exchanges are relabeled to AR, then stack and AR elements are mapped to
@@ -152,66 +151,24 @@ func (s *ESState) Project(tr trace.Trace) trace.Trace {
 
 // Key implements sched.State.
 func (s *ESState) Key() string {
-	var b strings.Builder
-	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d.%d.%d.%d.%t.%d|",
-			th.pc, th.op, th.round, th.h, th.n, th.slot, th.xn, th.xcur, th.xs, th.retV)
-	}
-	b.WriteString("top")
-	b.WriteString(strconv.Itoa(s.Top))
-	for _, c := range s.Cells {
-		fmt.Fprintf(&b, ";%d.%d", c.Data, c.Next)
-	}
-	b.WriteByte('g')
-	for _, g := range s.G {
-		b.WriteString(strconv.Itoa(g))
-		b.WriteByte(',')
-	}
-	for _, o := range s.Offers {
-		fmt.Fprintf(&b, ";%d.%d.%d", o.Tid, o.Data, o.Hole)
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
-}
-
-// Done implements sched.State. Halted threads do not count as done; the
-// explorer runs with AllowDeadlock and the terminal check drops their
-// pending operations.
-func (s *ESState) Done() bool {
-	for _, th := range s.Threads {
-		if th.pc != epcDone {
-			return false
-		}
-	}
-	return true
+	k := appendSection(appendInts(s.appendKey(nil), s.Top), s.Cells)
+	k = appendInts(appendLen(k, len(s.G)), s.G...)
+	return string(appendSection(k, s.Offers))
 }
 
 func (s *ESState) clone() *ESState {
-	return &ESState{
-		cfg:     s.cfg,
-		Threads: append([]esThread(nil), s.Threads...),
-		Cells:   append([]Cell(nil), s.Cells...),
-		Top:     s.Top,
-		G:       append([]int(nil), s.G...),
-		Offers:  append([]Offer(nil), s.Offers...),
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
-	}
+	c := *s
+	c.state = s.state.clone()
+	c.Cells = slices.Clone(s.Cells)
+	c.G = slices.Clone(s.G)
+	c.Offers = slices.Clone(s.Offers)
+	return &c
 }
 
 // Successors implements sched.State.
-func (s *ESState) Successors() []sched.Succ {
-	var out []sched.Succ
-	for t := range s.Threads {
-		out = append(out, s.steps(t)...)
-	}
-	return out
-}
+func (s *ESState) Successors() []sched.Succ { return s.successors(s.step) }
 
-// isPush reports whether thread t's current op is a push, and its value.
+// opOf returns thread t's current operation.
 func (s *ESState) opOf(t int) StackOp { return s.cfg.Programs[t][s.Threads[t].op] }
 
 // exchangeArg is the value thread t offers to the elimination array.
@@ -250,17 +207,20 @@ func (s *ESState) afterExchange(c *ESState, t int, d int64) {
 	}
 }
 
-func (s *ESState) steps(t int) []sched.Succ {
+func (s *ESState) step(t int, out []sched.Succ) []sched.Succ {
 	th := s.Threads[t]
+	if th.pc == epcHalt || th.pc == epcDone {
+		return out
+	}
 	id := tid(t)
-	mk := func(label string, next *ESState) []sched.Succ {
-		return []sched.Succ{{Thread: t, Label: label, Next: next}}
+	c := s.clone()
+	nt := &c.Threads[t]
+	mk := func(label string) []sched.Succ {
+		return append(out, sched.Succ{Thread: t, Label: label, Next: c})
 	}
 	switch th.pc {
 	case epcIdle:
 		op := s.opOf(t)
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.round = 0
 		if op.IsPush {
 			c.Hist = append(c.Hist, history.Inv(id, s.cfg.Object, spec.MethodPush, history.Int(op.V)))
@@ -269,62 +229,55 @@ func (s *ESState) steps(t int) []sched.Succ {
 			c.Hist = append(c.Hist, history.Inv(id, s.cfg.Object, spec.MethodPop, history.Unit()))
 			nt.pc = epcPopRead
 		}
-		return mk("inv", c)
+		return mk("inv")
 	case epcPushRead:
 		op := s.opOf(t)
-		c := s.clone()
 		c.Cells = append(c.Cells, Cell{Data: op.V, Next: s.Top})
-		nt := &c.Threads[t]
 		nt.h = s.Top
 		nt.n = len(c.Cells) - 1
 		nt.pc = epcPushCAS
-		return mk("read-top", c)
+		return mk("read-top")
 	case epcPushCAS:
 		op := s.opOf(t)
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == th.h {
 			c.Top = th.n
 			c.Trace = append(c.Trace, spec.PushElement(s.stackID(), id, op.V, true))
 			nt.pc = epcRet
 			nt.retV = 0
-			return mk("S-PUSH", c)
+			return mk("S-PUSH")
 		}
 		c.Trace = append(c.Trace, spec.PushElement(s.stackID(), id, op.V, false))
 		nt.pc = epcSlot
-		return mk("s-push-miss", c)
+		return mk("s-push-miss")
 	case epcPopRead:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == -1 {
 			c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, false, 0))
 			nt.pc = epcSlot
-			return mk("s-pop-empty", c)
+			return mk("s-pop-empty")
 		}
 		nt.h = s.Top
 		nt.pc = epcPopCAS
-		return mk("read-top", c)
+		return mk("read-top")
 	case epcPopCAS:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == th.h {
 			c.Top = s.Cells[th.h].Next
 			v := s.Cells[th.h].Data
 			c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, true, v))
 			nt.retV = v
 			nt.pc = epcRet
-			return mk("S-POP", c)
+			return mk("S-POP")
 		}
 		c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, false, 0))
 		nt.pc = epcSlot
-		return mk("s-pop-miss", c)
+		return mk("s-pop-miss")
 	case epcSlot:
 		// Nondeterministic slot choice; offer allocation is local.
-		var out []sched.Succ
 		for k := 0; k < s.cfg.Slots; k++ {
-			c := s.clone()
+			if k > 0 {
+				c = s.clone()
+				nt = &c.Threads[t]
+			}
 			c.Offers = append(c.Offers, Offer{Tid: id, Data: s.exchangeArg(t), Hole: HoleNull})
-			nt := &c.Threads[t]
 			nt.slot = k
 			nt.xn = len(c.Offers) - 1
 			nt.xcur = -1
@@ -334,52 +287,44 @@ func (s *ESState) steps(t int) []sched.Succ {
 		}
 		return out
 	case epcExInit:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.G[th.slot] == -1 {
 			c.G[th.slot] = th.xn
 			nt.pc = epcExPass
-			return mk("E-INIT", c)
+			return mk("E-INIT")
 		}
 		nt.pc = epcExReadG
-		return mk("e-init-miss", c)
+		return mk("e-init-miss")
 	case epcExPass:
-		c := s.clone()
 		if s.Offers[th.xn].Hole == HoleNull {
 			c.Offers[th.xn].Hole = HoleFail
 			c.Trace = append(c.Trace, spec.FailElement(s.slotID(th.slot), id, s.Offers[th.xn].Data))
 			s.afterExchange(c, t, s.Offers[th.xn].Data)
-			return mk("E-PASS", c)
+			return mk("E-PASS")
 		}
 		partner := s.Offers[th.xn].Hole
 		s.afterExchange(c, t, s.Offers[partner].Data)
-		return mk("e-matched", c)
+		return mk("e-matched")
 	case epcExReadG:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.xcur = s.G[th.slot]
 		if s.G[th.slot] == -1 {
 			nt.pc = epcExFail
 		} else {
 			nt.pc = epcExXchg
 		}
-		return mk("e-read-g", c)
+		return mk("e-read-g")
 	case epcExXchg:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Offers[th.xcur].Hole == HoleNull {
 			c.Offers[th.xcur].Hole = th.xn
 			partner := s.Offers[th.xcur]
 			c.Trace = append(c.Trace, spec.SwapElement(s.slotID(th.slot), partner.Tid, partner.Data, id, s.exchangeArg(t)))
 			nt.xs = true
 			nt.pc = epcExClean
-			return mk("E-XCHG", c)
+			return mk("E-XCHG")
 		}
 		nt.xs = false
 		nt.pc = epcExClean
-		return mk("e-xchg-miss", c)
+		return mk("e-xchg-miss")
 	case epcExClean:
-		c := s.clone()
 		label := "e-clean-miss"
 		if s.G[th.slot] == th.xcur {
 			c.G[th.slot] = -1
@@ -388,18 +333,15 @@ func (s *ESState) steps(t int) []sched.Succ {
 		if th.xs {
 			s.afterExchange(c, t, s.Offers[th.xcur].Data)
 		} else {
-			c.Threads[t].pc = epcExFail
+			nt.pc = epcExFail
 		}
-		return mk(label, c)
+		return mk(label)
 	case epcExFail:
-		c := s.clone()
 		c.Trace = append(c.Trace, spec.FailElement(s.slotID(th.slot), id, s.exchangeArg(t)))
 		s.afterExchange(c, t, s.exchangeArg(t))
-		return mk("E-FAIL", c)
+		return mk("E-FAIL")
 	case epcRet:
 		op := s.opOf(t)
-		c := s.clone()
-		nt := &c.Threads[t]
 		if op.IsPush {
 			c.Hist = append(c.Hist, history.Res(id, s.cfg.Object, spec.MethodPush, history.Bool(true)))
 		} else {
@@ -412,8 +354,8 @@ func (s *ESState) steps(t int) []sched.Succ {
 		} else {
 			nt.pc = epcDone
 		}
-		return mk("res", c)
-	default: // epcHalt, epcDone
-		return nil
+		return mk("res")
+	default:
+		return out
 	}
 }

@@ -9,14 +9,11 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
-	"calgo/internal/trace"
 )
 
 // Hole pointer encodings for modelled offers.
@@ -32,6 +29,10 @@ type Offer struct {
 	Tid  history.ThreadID
 	Data int64
 	Hole int
+}
+
+func (o Offer) appendKey(k []byte) []byte {
+	return appendInts(appendInts(k, int(o.Tid), o.Hole), o.Data)
 }
 
 // Program counters of the exchanger step machine, mirroring Figure 1.
@@ -80,15 +81,22 @@ type exchThread struct {
 	lateLog bool // "late-swap-log" bug: swap logging deferred to return
 }
 
+// appendKey leaves out viewLen: the logical variable is fixed by 𝒯 and
+// the thread's position in its program (TestKeyExact holds this).
+func (th exchThread) appendKey(k []byte) []byte {
+	k = appendInts(appendInts(k, th.pc, th.op, th.n, th.cur), th.retV)
+	return appendBools(k, th.s, th.retOK, th.lateLog)
+}
+
+func (th exchThread) done() bool { return th.pc == pcDone }
+
 // ExchangerState is one state of the exchanger model. It is exported so
 // the rg package and tests can inspect it; treat it as immutable.
 type ExchangerState struct {
-	cfg     *ExchangerConfig
-	Threads []exchThread
-	Offers  []Offer
-	G       int // offer index installed in g, or -1
-	Trace   trace.Trace
-	Hist    history.History
+	state[exchThread]
+	cfg    *ExchangerConfig
+	Offers []Offer
+	G      int // offer index installed in g, or -1
 }
 
 var _ sched.State = (*ExchangerState)(nil)
@@ -108,15 +116,6 @@ func NewExchanger(cfg ExchangerConfig) *ExchangerState {
 // Object returns the modelled exchanger's object id.
 func (s *ExchangerState) Object() history.ObjectID { return s.cfg.Object }
 
-// History returns the interface history produced so far.
-func (s *ExchangerState) History() history.History { return s.Hist }
-
-// AuxTrace returns the recorded auxiliary CA-trace 𝒯.
-func (s *ExchangerState) AuxTrace() trace.Trace { return s.Trace }
-
-// tid maps a thread index to its ThreadID (1-based).
-func tid(t int) history.ThreadID { return history.ThreadID(t + 1) }
-
 // arg returns the value thread t's current operation exchanges.
 func (s *ExchangerState) arg(t int) int64 {
 	return s.cfg.Programs[t][s.Threads[t].op]
@@ -124,43 +123,15 @@ func (s *ExchangerState) arg(t int) int64 {
 
 // Key implements sched.State.
 func (s *ExchangerState) Key() string {
-	var b strings.Builder
-	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%t.%t.%d.%t|", th.pc, th.op, th.n, th.cur, th.s, th.retOK, th.retV, th.lateLog)
-	}
-	b.WriteByte('g')
-	b.WriteString(strconv.Itoa(s.G))
-	for _, o := range s.Offers {
-		fmt.Fprintf(&b, ";%d.%d.%d", o.Tid, o.Data, o.Hole)
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	k := appendInts(s.appendKey(nil), s.G)
+	return string(appendSection(k, s.Offers))
 }
 
-// Done implements sched.State.
-func (s *ExchangerState) Done() bool {
-	for _, th := range s.Threads {
-		if th.pc != pcDone {
-			return false
-		}
-	}
-	return true
-}
-
-// clone returns a deep copy ready for mutation.
 func (s *ExchangerState) clone() *ExchangerState {
-	c := &ExchangerState{
-		cfg:     s.cfg,
-		Threads: append([]exchThread(nil), s.Threads...),
-		Offers:  append([]Offer(nil), s.Offers...),
-		G:       s.G,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
-	}
-	return c
+	c := *s
+	c.state = s.state.clone()
+	c.Offers = slices.Clone(s.Offers)
+	return &c
 }
 
 // viewLen counts the CA-elements of 𝒯 mentioning thread id — |T_E|tid|.
@@ -175,82 +146,69 @@ func (s *ExchangerState) viewLenOf(id history.ThreadID) int {
 }
 
 // Successors implements sched.State.
-func (s *ExchangerState) Successors() []sched.Succ {
-	var out []sched.Succ
-	for t := range s.Threads {
-		if succ, ok := s.step(t); ok {
-			out = append(out, succ)
-		}
-	}
-	return out
-}
+func (s *ExchangerState) Successors() []sched.Succ { return s.successors(s.step) }
 
 // step computes thread t's single atomic step from this state.
-func (s *ExchangerState) step(t int) (sched.Succ, bool) {
+func (s *ExchangerState) step(t int, out []sched.Succ) []sched.Succ {
 	th := s.Threads[t]
+	if th.done() {
+		return out
+	}
 	id := tid(t)
 	obj := s.cfg.Object
-	mk := func(label string, next *ExchangerState) (sched.Succ, bool) {
-		return sched.Succ{Thread: t, Label: label, Next: next}, true
+	c := s.clone()
+	nt := &c.Threads[t]
+	mk := func(label string) []sched.Succ {
+		return append(out, sched.Succ{Thread: t, Label: label, Next: c})
 	}
 	switch th.pc {
 	case pcIdle:
 		// inv: record the invocation and allocate the offer (lines 12-13).
 		v := s.arg(t)
-		c := s.clone()
 		c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodExchange, history.Int(v)))
 		c.Offers = append(c.Offers, Offer{Tid: id, Data: v, Hole: HoleNull})
-		nt := &c.Threads[t]
 		nt.n = len(c.Offers) - 1
 		nt.cur = -1
 		nt.s = false
 		nt.viewLen = c.viewLenOf(id)
 		nt.pc = pcInit
-		return mk("inv", c)
+		return mk("inv")
 	case pcInit:
 		// line 15: CAS(g, null, n).
-		c := s.clone()
 		if s.G == -1 {
 			c.G = th.n
-			c.Threads[t].pc = pcPass // wait window ends whenever scheduled
-			return mk("INIT", c)
+			nt.pc = pcPass // wait window ends whenever scheduled
+			return mk("INIT")
 		}
-		c.Threads[t].pc = pcReadG
-		return mk("init-miss", c)
+		nt.pc = pcReadG
+		return mk("init-miss")
 	case pcPass:
 		// line 18: CAS(n.hole, null, fail).
-		c := s.clone()
 		if s.Offers[th.n].Hole == HoleNull {
 			c.Offers[th.n].Hole = HoleFail
 			if s.cfg.Bug != "drop-pass-log" {
 				c.Trace = append(c.Trace, spec.FailElement(obj, id, s.Offers[th.n].Data))
 			}
-			nt := &c.Threads[t]
 			nt.retOK, nt.retV = false, s.Offers[th.n].Data
 			nt.pc = pcRet
-			return mk("PASS", c)
+			return mk("PASS")
 		}
 		// A partner filled our hole: it logged the swap at its XCHG.
 		partner := s.Offers[th.n].Hole
-		nt := &c.Threads[t]
 		nt.retOK, nt.retV = true, s.Offers[partner].Data
 		nt.pc = pcRet
-		return mk("matched", c)
+		return mk("matched")
 	case pcReadG:
 		// lines 25-27: cur = g; branch on null.
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.cur = s.G
 		if s.G == -1 {
 			nt.pc = pcLogFail
 		} else {
 			nt.pc = pcXchg
 		}
-		return mk("read-g", c)
+		return mk("read-g")
 	case pcXchg:
 		// line 29: s = CAS(cur.hole, null, n).
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Offers[th.cur].Hole == HoleNull {
 			c.Offers[th.cur].Hole = th.n
 			partner := s.Offers[th.cur]
@@ -267,40 +225,34 @@ func (s *ExchangerState) step(t int) (sched.Succ, bool) {
 			}
 			nt.s = true
 			nt.pc = pcClean
-			return mk("XCHG", c)
+			return mk("XCHG")
 		}
 		nt.s = false
 		nt.pc = pcClean
-		return mk("xchg-miss", c)
+		return mk("xchg-miss")
 	case pcClean:
 		// line 31: CAS(g, cur, null) — unconditional cleanup.
-		c := s.clone()
 		label := "clean-miss"
 		if s.G == th.cur {
 			c.G = -1
 			label = "CLEAN"
 		}
-		nt := &c.Threads[t]
 		if th.s {
 			nt.retOK, nt.retV = true, s.Offers[th.cur].Data
 			nt.pc = pcRet
 		} else {
 			nt.pc = pcLogFail
 		}
-		return mk(label, c)
+		return mk(label)
 	case pcLogFail:
 		// line 35: h := h · (E.{(tid, ex(v) ▷ false, v)}) — the FAIL action.
-		c := s.clone()
 		v := s.arg(t)
 		c.Trace = append(c.Trace, spec.FailElement(obj, id, v))
-		nt := &c.Threads[t]
 		nt.retOK, nt.retV = false, v
 		nt.pc = pcRet
-		return mk("FAIL", c)
+		return mk("FAIL")
 	case pcRet:
 		// Emit the response action and move to the next operation.
-		c := s.clone()
-		nt := &c.Threads[t]
 		if th.lateLog && th.cur >= 0 {
 			partner := s.Offers[th.cur]
 			c.Trace = append(c.Trace, spec.SwapElement(obj, partner.Tid, partner.Data, id, s.arg(t)))
@@ -314,8 +266,8 @@ func (s *ExchangerState) step(t int) (sched.Succ, bool) {
 		} else {
 			nt.pc = pcDone
 		}
-		return mk("res", c)
-	default: // pcDone
-		return sched.Succ{}, false
+		return mk("res")
+	default:
+		return out
 	}
 }

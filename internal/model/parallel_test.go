@@ -62,20 +62,25 @@ func parallelisms() []int {
 	return []int{1, 4, runtime.GOMAXPROCS(0)}
 }
 
+// pinStats explores at every parallelism and checks the three
+// schedule-independent counts against want, the figures recorded at
+// the sequential engine.
+func pinStats(t *testing.T, want sched.Stats, explore func(t *testing.T, parallelism int) sched.Stats) {
+	t.Helper()
+	for _, par := range parallelisms() {
+		got := explore(t, par)
+		if got.States != want.States || got.Transitions != want.Transitions || got.Terminals != want.Terminals {
+			t.Errorf("parallelism %d: states/transitions/terminals %d/%d/%d, want %d/%d/%d",
+				par, got.States, got.Transitions, got.Terminals, want.States, want.Transitions, want.Terminals)
+		}
+	}
+}
+
 // TestParallelEquivalenceF1 pins that the work-stealing engine reports
 // the exact sequential state counts on the F1 model at every worker
 // count (the numbers recorded in EXPERIMENTS.md).
 func TestParallelEquivalenceF1(t *testing.T) {
-	want := exploreF1(t, 1)
-	if want.States != 12_223 || want.Transitions != 20_424 || want.Terminals != 1_446 {
-		t.Errorf("F1 sequential stats drifted: %+v", want)
-	}
-	for _, par := range parallelisms()[1:] {
-		got := exploreF1(t, par)
-		if got.States != want.States || got.Transitions != want.Transitions || got.Terminals != want.Terminals {
-			t.Errorf("parallelism %d: stats %+v, want %+v", par, got, want)
-		}
-	}
+	pinStats(t, sched.Stats{States: 12_223, Transitions: 20_424, Terminals: 1_446}, exploreF1)
 }
 
 // TestParallelEquivalenceF2 is the same contract on the 61,851-state F2
@@ -84,15 +89,62 @@ func TestParallelEquivalenceF2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping three full F2 explorations in -short mode")
 	}
-	want := exploreF2(t, 1)
-	if want.States != 61_851 || want.Transitions != 102_532 || want.Terminals != 7_096 {
-		t.Errorf("F2 sequential stats drifted: %+v", want)
-	}
-	for _, par := range parallelisms()[1:] {
-		got := exploreF2(t, par)
-		if got.States != want.States || got.Transitions != want.Transitions || got.Terminals != want.Terminals {
-			t.Errorf("parallelism %d: stats %+v, want %+v", par, got, want)
+	pinStats(t, sched.Stats{States: 61_851, Transitions: 102_532, Terminals: 7_096}, exploreF2)
+}
+
+// exploreWith returns an explore function for pinStats that runs init
+// with opts at the requested parallelism.
+func exploreWith(init sched.State, opts ...sched.Option) func(*testing.T, int) sched.Stats {
+	return func(t *testing.T, parallelism int) sched.Stats {
+		t.Helper()
+		stats, err := sched.Explore(context.Background(), init,
+			append(opts[:len(opts):len(opts)], sched.WithParallelism(parallelism))...)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
+		return stats
+	}
+}
+
+// TestStateCounts pins the state graphs of the other five models, so a
+// change to how states are encoded or cloned cannot merge or split states
+// unnoticed. syncqueue and dualstack use the calexplore battery configs;
+// stack, dualqueue and snapshot use a config of their own model tests.
+func TestStateCounts(t *testing.T) {
+	sq := model.NewSyncQueue(model.SQConfig{
+		Programs: [][]model.SQOp{{model.Put(1)}, {model.Put(2)}, {model.Take()}}})
+	ds := model.NewDualStack(model.DSConfig{Retries: 2,
+		Programs: [][]model.StackOp{{model.Pop()}, {model.Pop()}, {model.Push(1)}}})
+	st := model.NewStack(model.StackConfig{Programs: [][]model.StackOp{
+		{model.Push(1), model.Pop()}, {model.Push(2), model.Pop()}}})
+	dq := model.NewDualQueue(model.DQConfig{Programs: [][]model.QOp{
+		{model.Enq(1), model.Deq()}, {model.Deq(), model.Enq(2)}}})
+	is := model.NewSnapshot(model.ISConfig{Values: []int64{10, 20, 30}})
+	for _, tc := range []struct {
+		name  string
+		heavy bool // skipped under -short
+		want  sched.Stats
+		run   func(*testing.T, int) sched.Stats
+	}{
+		{"syncqueue", false, sched.Stats{States: 11_925, Transitions: 19_504, Terminals: 1_462},
+			exploreWith(sq, sched.WithTerminal(model.VerifyCAL(spec.NewSyncQueue("SQ"), nil, true)))},
+		{"dualstack", true, sched.Stats{States: 142_345, Transitions: 221_810, Terminals: 21_222},
+			exploreWith(ds, sched.WithTerminal(model.VerifyCAL(spec.NewDualStack("DS"), nil, true)),
+				sched.WithDeadlockAllowed())},
+		{"stack", false, sched.Stats{States: 4_091, Transitions: 5_134, Terminals: 670},
+			exploreWith(st, sched.WithTerminal(model.VerifyCAL(spec.NewCentralStack("S"), nil, true)))},
+		{"dualqueue", false, sched.Stats{States: 28_086, Transitions: 43_950, Terminals: 1_640},
+			exploreWith(dq, sched.WithTerminal(model.VerifyCAL(spec.NewDualQueue("DQ"), nil, true)),
+				sched.WithDeadlockAllowed())},
+		{"snapshot", false, sched.Stats{States: 66_760, Transitions: 169_681, Terminals: 666},
+			exploreWith(is, sched.WithTerminal(model.VerifyCAL(spec.NewSnapshot("IS", 3), is.Project, true)))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.heavy && testing.Short() {
+				t.Skipf("skipping three full %s explorations in -short mode", tc.name)
+			}
+			pinStats(t, tc.want, tc.run)
+		})
 	}
 }
 

@@ -2,9 +2,8 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"calgo/internal/history"
 	"calgo/internal/sched"
@@ -43,13 +42,18 @@ type isThread struct {
 	retCard int
 }
 
-// ISState is one state of the immediate-snapshot model.
+func (th isThread) appendKey(k []byte) []byte {
+	return appendInts(k, th.pc, th.lev, th.scanIdx, th.members, th.retCard)
+}
+
+func (th isThread) done() bool { return th.pc == ipcDoneIS }
+
+// ISState is one state of the immediate-snapshot model. Its trace holds
+// each operation as a singleton, appended at return in return order.
 type ISState struct {
-	cfg     *ISConfig
-	Threads []isThread
-	Levels  []int
-	Trace   trace.Trace // derived blocks appended at return, in return order
-	Hist    history.History
+	state[isThread]
+	cfg    *ISConfig
+	Levels []int
 }
 
 var _ sched.State = (*ISState)(nil)
@@ -73,16 +77,10 @@ func NewSnapshot(cfg ISConfig) *ISState {
 // Object returns the modelled snapshot's object id.
 func (s *ISState) Object() history.ObjectID { return s.cfg.Object }
 
-// History implements HT.
-func (s *ISState) History() history.History { return s.Hist }
-
-// AuxTrace returns the trace of return-ordered operations; use Project to
-// group them into blocks by cardinality before checking the spec.
-func (s *ISState) AuxTrace() trace.Trace { return s.Trace }
-
 // Project groups the return-ordered singleton operations into blocks by
 // view cardinality, ordered by cardinality — the quiescent derivation of
-// DeriveTrace, inside the model.
+// DeriveTrace, inside the model. Apply it to AuxTrace before checking the
+// spec.
 func (s *ISState) Project(tr trace.Trace) trace.Trace {
 	byCard := map[int64][]trace.Operation{}
 	var cards []int64
@@ -110,83 +108,50 @@ func (s *ISState) Project(tr trace.Trace) trace.Trace {
 
 // Key implements sched.State.
 func (s *ISState) Key() string {
-	var b strings.Builder
-	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d|", th.pc, th.lev, th.scanIdx, th.members, th.retCard)
-	}
-	for _, l := range s.Levels {
-		b.WriteString(strconv.Itoa(l))
-		b.WriteByte(',')
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
-}
-
-// Done implements sched.State.
-func (s *ISState) Done() bool {
-	for _, th := range s.Threads {
-		if th.pc != ipcDoneIS {
-			return false
-		}
-	}
-	return true
+	k := s.appendKey(nil)
+	return string(appendInts(appendLen(k, len(s.Levels)), s.Levels...))
 }
 
 func (s *ISState) clone() *ISState {
-	return &ISState{
-		cfg:     s.cfg,
-		Threads: append([]isThread(nil), s.Threads...),
-		Levels:  append([]int(nil), s.Levels...),
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
-	}
+	c := *s
+	c.state = s.state.clone()
+	c.Levels = slices.Clone(s.Levels)
+	return &c
 }
 
 // Successors implements sched.State.
-func (s *ISState) Successors() []sched.Succ {
-	var out []sched.Succ
-	for t := range s.Threads {
-		if succ, ok := s.step(t); ok {
-			out = append(out, succ)
-		}
-	}
-	return out
-}
+func (s *ISState) Successors() []sched.Succ { return s.successors(s.step) }
 
-func (s *ISState) step(t int) (sched.Succ, bool) {
+func (s *ISState) step(t int, out []sched.Succ) []sched.Succ {
 	th := s.Threads[t]
+	if th.done() {
+		return out
+	}
 	id := tid(t)
 	obj := s.cfg.Object
 	n := len(s.cfg.Values)
-	mk := func(label string, next *ISState) (sched.Succ, bool) {
-		return sched.Succ{Thread: t, Label: label, Next: next}, true
+	c := s.clone()
+	nt := &c.Threads[t]
+	mk := func(label string) []sched.Succ {
+		return append(out, sched.Succ{Thread: t, Label: label, Next: c})
 	}
 	switch th.pc {
 	case ipcIdle:
 		// inv + value write (the value register is written once, before
 		// any level activity, so folding them is safe).
-		c := s.clone()
 		c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodUpdate, history.Int(s.cfg.Values[t])))
-		nt := &c.Threads[t]
 		nt.lev = n
 		nt.pc = ipcSetLevel
-		return mk("inv", c)
+		return mk("inv")
 	case ipcSetLevel:
 		// level[p] = lev — one register write.
-		c := s.clone()
 		c.Levels[t] = th.lev
-		nt := &c.Threads[t]
 		nt.scanIdx = 0
 		nt.members = 0
 		nt.pc = ipcScan
-		return mk(fmt.Sprintf("set-level[%d]", th.lev), c)
+		return mk(fmt.Sprintf("set-level[%d]", th.lev))
 	case ipcScan:
 		// Read level[scanIdx] — one register read per step.
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Levels[th.scanIdx] <= th.lev {
 			nt.members |= 1 << th.scanIdx
 		}
@@ -194,11 +159,9 @@ func (s *ISState) step(t int) (sched.Succ, bool) {
 		if nt.scanIdx == n {
 			nt.pc = ipcCheck
 		}
-		return mk("read-level", c)
+		return mk("read-level")
 	case ipcCheck:
 		// Local: count members; terminate at |members| == lev.
-		c := s.clone()
-		nt := &c.Threads[t]
 		count := 0
 		for q := 0; q < n; q++ {
 			if th.members&(1<<q) != 0 {
@@ -208,7 +171,7 @@ func (s *ISState) step(t int) (sched.Succ, bool) {
 		if count == th.lev {
 			nt.retCard = count
 			nt.pc = ipcRet
-			return mk("terminate", c)
+			return mk("terminate")
 		}
 		nt.lev--
 		if nt.lev < 1 {
@@ -216,13 +179,11 @@ func (s *ISState) step(t int) (sched.Succ, bool) {
 			// flags it as a deadlocked thread.
 			nt.pc = ipcDoneIS
 			nt.retCard = -1
-			return mk("fell-through", c)
+			return mk("fell-through")
 		}
 		nt.pc = ipcSetLevel
-		return mk("descend", c)
+		return mk("descend")
 	case ipcRet:
-		c := s.clone()
-		nt := &c.Threads[t]
 		// Self-inclusion is checked structurally here: the view must
 		// contain the caller.
 		if th.members&(1<<t) == 0 {
@@ -234,8 +195,8 @@ func (s *ISState) step(t int) (sched.Succ, bool) {
 		}))
 		c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodUpdate, history.Pair(true, int64(th.retCard))))
 		nt.pc = ipcDoneIS
-		return mk("res", c)
+		return mk("res")
 	default:
-		return sched.Succ{}, false
+		return out
 	}
 }

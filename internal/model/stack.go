@@ -1,20 +1,21 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
-	"calgo/internal/trace"
 )
 
 // Cell is a modelled stack cell.
 type Cell struct {
 	Data int64
 	Next int // cell index or -1
+}
+
+func (c Cell) appendKey(k []byte) []byte {
+	return appendInts(appendInts(k, c.Next), c.Data)
 }
 
 // StackOp is one operation of a client program over the central stack.
@@ -59,14 +60,19 @@ type stackThread struct {
 	retV  int64
 }
 
+func (th stackThread) appendKey(k []byte) []byte {
+	k = appendInts(appendInts(k, th.pc, th.op, th.h, th.n), th.retV)
+	return appendBools(k, th.retOK)
+}
+
+func (th stackThread) done() bool { return th.pc == spcDone }
+
 // StackState is one state of the central-stack model.
 type StackState struct {
-	cfg     *StackConfig
-	Threads []stackThread
-	Cells   []Cell
-	Top     int
-	Trace   trace.Trace
-	Hist    history.History
+	state[stackThread]
+	cfg   *StackConfig
+	Cells []Cell
+	Top   int
 }
 
 var _ sched.State = (*StackState)(nil)
@@ -86,74 +92,37 @@ func NewStack(cfg StackConfig) *StackState {
 // Object returns the modelled stack's object id.
 func (s *StackState) Object() history.ObjectID { return s.cfg.Object }
 
-// History implements HT.
-func (s *StackState) History() history.History { return s.Hist }
-
-// AuxTrace implements HT.
-func (s *StackState) AuxTrace() trace.Trace { return s.Trace }
-
 // Key implements sched.State.
 func (s *StackState) Key() string {
-	var b strings.Builder
-	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%t.%d|", th.pc, th.op, th.h, th.n, th.retOK, th.retV)
-	}
-	b.WriteString("top")
-	b.WriteString(strconv.Itoa(s.Top))
-	for _, c := range s.Cells {
-		fmt.Fprintf(&b, ";%d.%d", c.Data, c.Next)
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
-}
-
-// Done implements sched.State.
-func (s *StackState) Done() bool {
-	for _, th := range s.Threads {
-		if th.pc != spcDone {
-			return false
-		}
-	}
-	return true
+	k := appendInts(s.appendKey(nil), s.Top)
+	return string(appendSection(k, s.Cells))
 }
 
 func (s *StackState) clone() *StackState {
-	return &StackState{
-		cfg:     s.cfg,
-		Threads: append([]stackThread(nil), s.Threads...),
-		Cells:   append([]Cell(nil), s.Cells...),
-		Top:     s.Top,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
-	}
+	c := *s
+	c.state = s.state.clone()
+	c.Cells = slices.Clone(s.Cells)
+	return &c
 }
 
 // Successors implements sched.State.
-func (s *StackState) Successors() []sched.Succ {
-	var out []sched.Succ
-	for t := range s.Threads {
-		if succ, ok := s.step(t); ok {
-			out = append(out, succ)
-		}
-	}
-	return out
-}
+func (s *StackState) Successors() []sched.Succ { return s.successors(s.step) }
 
-func (s *StackState) step(t int) (sched.Succ, bool) {
+func (s *StackState) step(t int, out []sched.Succ) []sched.Succ {
 	th := s.Threads[t]
+	if th.done() {
+		return out
+	}
 	id := tid(t)
 	obj := s.cfg.Object
-	mk := func(label string, next *StackState) (sched.Succ, bool) {
-		return sched.Succ{Thread: t, Label: label, Next: next}, true
+	c := s.clone()
+	nt := &c.Threads[t]
+	mk := func(label string) []sched.Succ {
+		return append(out, sched.Succ{Thread: t, Label: label, Next: c})
 	}
 	switch th.pc {
 	case spcIdle:
 		op := s.cfg.Programs[t][th.op]
-		c := s.clone()
-		nt := &c.Threads[t]
 		if op.IsPush {
 			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPush, history.Int(op.V)))
 			nt.pc = spcPushRead
@@ -161,22 +130,18 @@ func (s *StackState) step(t int) (sched.Succ, bool) {
 			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPop, history.Unit()))
 			nt.pc = spcPopRead
 		}
-		return mk("inv", c)
+		return mk("inv")
 	case spcPushRead:
 		// h = top; n = new Cell(data, h). The allocation touches only
 		// unpublished memory, so read+alloc is one atomic step.
 		op := s.cfg.Programs[t][th.op]
-		c := s.clone()
 		c.Cells = append(c.Cells, Cell{Data: op.V, Next: s.Top})
-		nt := &c.Threads[t]
 		nt.h = s.Top
 		nt.n = len(c.Cells) - 1
 		nt.pc = spcPushCAS
-		return mk("read-top", c)
+		return mk("read-top")
 	case spcPushCAS:
 		op := s.cfg.Programs[t][th.op]
-		c := s.clone()
-		nt := &c.Threads[t]
 		label := "push-miss"
 		if s.Top == th.h {
 			c.Top = th.n
@@ -186,38 +151,32 @@ func (s *StackState) step(t int) (sched.Succ, bool) {
 		c.Trace = append(c.Trace, spec.PushElement(obj, id, op.V, ok))
 		nt.retOK = ok
 		nt.pc = spcRet
-		return mk(label, c)
+		return mk(label)
 	case spcPopRead:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == -1 {
 			// Empty: the read of top is the linearization point.
 			c.Trace = append(c.Trace, spec.PopElement(obj, id, false, 0))
 			nt.retOK, nt.retV = false, 0
 			nt.pc = spcRet
-			return mk("POP-EMPTY", c)
+			return mk("POP-EMPTY")
 		}
 		nt.h = s.Top
 		nt.pc = spcPopCAS
-		return mk("read-top", c)
+		return mk("read-top")
 	case spcPopCAS:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Top == th.h {
 			c.Top = s.Cells[th.h].Next
 			c.Trace = append(c.Trace, spec.PopElement(obj, id, true, s.Cells[th.h].Data))
 			nt.retOK, nt.retV = true, s.Cells[th.h].Data
 			nt.pc = spcRet
-			return mk("POP", c)
+			return mk("POP")
 		}
 		c.Trace = append(c.Trace, spec.PopElement(obj, id, false, 0))
 		nt.retOK, nt.retV = false, 0
 		nt.pc = spcRet
-		return mk("pop-miss", c)
+		return mk("pop-miss")
 	case spcRet:
 		op := s.cfg.Programs[t][th.op]
-		c := s.clone()
-		nt := &c.Threads[t]
 		if op.IsPush {
 			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodPush, history.Bool(th.retOK)))
 		} else {
@@ -230,8 +189,8 @@ func (s *StackState) step(t int) (sched.Succ, bool) {
 		} else {
 			nt.pc = spcDone
 		}
-		return mk("res", c)
+		return mk("res")
 	default:
-		return sched.Succ{}, false
+		return out
 	}
 }

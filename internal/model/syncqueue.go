@@ -1,9 +1,7 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"calgo/internal/history"
 	"calgo/internal/sched"
@@ -56,6 +54,11 @@ type sqOffer struct {
 	Hole  int // HoleNull, HoleFail, or index of the matching offer
 }
 
+func (o sqOffer) appendKey(k []byte) []byte {
+	k = appendInts(appendInts(k, int(o.Tid), o.Hole), o.Data)
+	return appendBools(k, o.IsPut)
+}
+
 type sqThread struct {
 	pc      int
 	op      int
@@ -66,14 +69,19 @@ type sqThread struct {
 	retV    int64
 }
 
+func (th sqThread) appendKey(k []byte) []byte {
+	k = appendInts(appendInts(k, th.pc, th.op, th.n, th.cur), th.retV)
+	return appendBools(k, th.matched, th.retOK)
+}
+
+func (th sqThread) done() bool { return th.pc == qpcDone }
+
 // SQState is one state of the synchronous-queue model.
 type SQState struct {
-	cfg     *SQConfig
-	Threads []sqThread
-	Offers  []sqOffer
-	G       int
-	Trace   trace.Trace
-	Hist    history.History
+	state[sqThread]
+	cfg    *SQConfig
+	Offers []sqOffer
+	G      int
 }
 
 var _ sched.State = (*SQState)(nil)
@@ -93,49 +101,17 @@ func NewSyncQueue(cfg SQConfig) *SQState {
 // Object returns the modelled queue's object id.
 func (s *SQState) Object() history.ObjectID { return s.cfg.Object }
 
-// History implements HT.
-func (s *SQState) History() history.History { return s.Hist }
-
-// AuxTrace implements HT.
-func (s *SQState) AuxTrace() trace.Trace { return s.Trace }
-
 // Key implements sched.State.
 func (s *SQState) Key() string {
-	var b strings.Builder
-	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%t.%t.%d|", th.pc, th.op, th.n, th.cur, th.matched, th.retOK, th.retV)
-	}
-	b.WriteByte('g')
-	b.WriteString(strconv.Itoa(s.G))
-	for _, o := range s.Offers {
-		fmt.Fprintf(&b, ";%t.%d.%d.%d", o.IsPut, o.Tid, o.Data, o.Hole)
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
-}
-
-// Done implements sched.State.
-func (s *SQState) Done() bool {
-	for _, th := range s.Threads {
-		if th.pc != qpcDone {
-			return false
-		}
-	}
-	return true
+	k := appendInts(s.appendKey(nil), s.G)
+	return string(appendSection(k, s.Offers))
 }
 
 func (s *SQState) clone() *SQState {
-	return &SQState{
-		cfg:     s.cfg,
-		Threads: append([]sqThread(nil), s.Threads...),
-		Offers:  append([]sqOffer(nil), s.Offers...),
-		G:       s.G,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
-	}
+	c := *s
+	c.state = s.state.clone()
+	c.Offers = slices.Clone(s.Offers)
+	return &c
 }
 
 func (s *SQState) opOf(t int) SQOp { return s.cfg.Programs[t][s.Threads[t].op] }
@@ -163,57 +139,45 @@ func (s *SQState) failElement(t int) trace.Element {
 }
 
 // Successors implements sched.State.
-func (s *SQState) Successors() []sched.Succ {
-	var out []sched.Succ
-	for t := range s.Threads {
-		if succ, ok := s.step(t); ok {
-			out = append(out, succ)
-		}
-	}
-	return out
-}
+func (s *SQState) Successors() []sched.Succ { return s.successors(s.step) }
 
-func (s *SQState) step(t int) (sched.Succ, bool) {
+func (s *SQState) step(t int, out []sched.Succ) []sched.Succ {
 	th := s.Threads[t]
-	if th.pc == qpcDone {
-		return sched.Succ{}, false
+	if th.done() {
+		return out
 	}
 	op := s.opOf(t)
-	mk := func(label string, next *SQState) (sched.Succ, bool) {
-		return sched.Succ{Thread: t, Label: label, Next: next}, true
+	c := s.clone()
+	nt := &c.Threads[t]
+	mk := func(label string) []sched.Succ {
+		return append(out, sched.Succ{Thread: t, Label: label, Next: c})
 	}
 	switch th.pc {
 	case qpcIdle:
-		c := s.clone()
 		c.Hist = append(c.Hist, s.invEvent(t))
 		c.Offers = append(c.Offers, sqOffer{IsPut: op.IsPut, Tid: tid(t), Data: op.V, Hole: HoleNull})
-		nt := &c.Threads[t]
 		nt.n = len(c.Offers) - 1
 		nt.cur = -1
 		nt.matched = false
 		nt.pc = qpcInit
-		return mk("inv", c)
+		return mk("inv")
 	case qpcInit:
-		c := s.clone()
 		if s.G == -1 {
 			c.G = th.n
-			c.Threads[t].pc = qpcPass
-			return mk("INIT", c)
+			nt.pc = qpcPass
+			return mk("INIT")
 		}
-		c.Threads[t].pc = qpcReadG
-		return mk("init-miss", c)
+		nt.pc = qpcReadG
+		return mk("init-miss")
 	case qpcPass:
-		c := s.clone()
 		if s.Offers[th.n].Hole == HoleNull {
 			c.Offers[th.n].Hole = HoleFail
 			c.Trace = append(c.Trace, s.failElement(t))
-			nt := &c.Threads[t]
 			nt.retOK, nt.retV = false, 0
 			nt.pc = qpcRet
-			return mk("PASS", c)
+			return mk("PASS")
 		}
 		partner := s.Offers[th.n].Hole
-		nt := &c.Threads[t]
 		nt.retOK = true
 		if op.IsPut {
 			nt.retV = op.V
@@ -221,10 +185,8 @@ func (s *SQState) step(t int) (sched.Succ, bool) {
 			nt.retV = s.Offers[partner].Data
 		}
 		nt.pc = qpcRet
-		return mk("matched", c)
+		return mk("matched")
 	case qpcReadG:
-		c := s.clone()
-		nt := &c.Threads[t]
 		nt.cur = s.G
 		switch {
 		case s.G == -1:
@@ -237,10 +199,8 @@ func (s *SQState) step(t int) (sched.Succ, bool) {
 		default:
 			nt.pc = qpcFail
 		}
-		return mk("read-g", c)
+		return mk("read-g")
 	case qpcMatch:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if s.Offers[th.cur].Hole == HoleNull {
 			c.Offers[th.cur].Hole = th.n
 			cur := s.Offers[th.cur]
@@ -253,17 +213,15 @@ func (s *SQState) step(t int) (sched.Succ, bool) {
 		}
 		nt.pc = qpcClean
 		if nt.matched {
-			return mk("MATCH", c)
+			return mk("MATCH")
 		}
-		return mk("match-miss", c)
+		return mk("match-miss")
 	case qpcClean:
-		c := s.clone()
 		label := "clean-miss"
 		if s.G == th.cur && s.Offers[th.cur].Hole != HoleNull {
 			c.G = -1
 			label = "CLEAN"
 		}
-		nt := &c.Threads[t]
 		if th.matched {
 			nt.retOK = true
 			if op.IsPut {
@@ -275,17 +233,13 @@ func (s *SQState) step(t int) (sched.Succ, bool) {
 		} else {
 			nt.pc = qpcFail
 		}
-		return mk(label, c)
+		return mk(label)
 	case qpcFail:
-		c := s.clone()
 		c.Trace = append(c.Trace, s.failElement(t))
-		nt := &c.Threads[t]
 		nt.retOK, nt.retV = false, 0
 		nt.pc = qpcRet
-		return mk("FAIL", c)
+		return mk("FAIL")
 	case qpcRet:
-		c := s.clone()
-		nt := &c.Threads[t]
 		if op.IsPut {
 			c.Hist = append(c.Hist, history.Res(tid(t), s.cfg.Object, spec.MethodPut, history.Bool(th.retOK)))
 		} else {
@@ -298,8 +252,8 @@ func (s *SQState) step(t int) (sched.Succ, bool) {
 		} else {
 			nt.pc = qpcDone
 		}
-		return mk("res", c)
+		return mk("res")
 	default:
-		return sched.Succ{}, false
+		return out
 	}
 }

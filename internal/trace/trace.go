@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -147,7 +148,8 @@ func (e Element) Equal(f Element) bool {
 	return true
 }
 
-// String renders the element in the paper's notation o.{op1, ..., opk}.
+// String renders the element in the paper's notation o.{op1, ..., opk},
+// for display.
 func (e Element) String() string {
 	parts := make([]string, len(e.Ops))
 	for i, op := range e.Ops {
@@ -155,10 +157,6 @@ func (e Element) String() string {
 	}
 	return string(e.Object) + ".{" + strings.Join(parts, ", ") + "}"
 }
-
-// Key returns a canonical string encoding of the element, suitable for use
-// as a map key.
-func (e Element) Key() string { return e.String() }
 
 // Trace is a CA-trace: a sequence of CA-elements (Definition 4).
 type Trace []Element
@@ -209,7 +207,26 @@ func (tr Trace) Equal(other Trace) bool {
 	return true
 }
 
-// String renders the trace as element · element · ...
+// AppendKey appends an exact binary encoding of tr to b and returns the
+// extended slice: the element count, then per element its object and its
+// length-prefixed operations. Two traces share an encoding only if they
+// are equal element for element (elements are canonical, so equal sets
+// encode alike); model checkers use it as state identity. It is not
+// meant to be read: String is for display.
+func (tr Trace) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(tr)))
+	for _, e := range tr {
+		b = binary.AppendUvarint(b, uint64(len(e.Object)))
+		b = append(b, e.Object...)
+		b = binary.AppendUvarint(b, uint64(len(e.Ops)))
+		for _, op := range e.Ops {
+			b = history.AppendOpKey(b, op.Thread, op.Object, op.Method, op.Arg, op.Ret)
+		}
+	}
+	return b
+}
+
+// String renders the trace as element · element · ..., for display.
 func (tr Trace) String() string {
 	if len(tr) == 0 {
 		return "ε"
@@ -220,6 +237,3 @@ func (tr Trace) String() string {
 	}
 	return strings.Join(parts, " · ")
 }
-
-// Key returns a canonical string encoding of the trace.
-func (tr Trace) Key() string { return tr.String() }

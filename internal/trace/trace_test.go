@@ -67,8 +67,34 @@ func TestElementCanonicalOrder(t *testing.T) {
 	if !a.Equal(b) {
 		t.Error("element equality must be order-insensitive")
 	}
-	if a.Key() != b.Key() {
+	if string(Trace{a}.AppendKey(nil)) != string(Trace{b}.AppendKey(nil)) {
 		t.Error("canonical keys must match")
+	}
+}
+
+// TestAppendKeyExact: AppendKey tells traces apart by every field,
+// including element boundaries and object names that embed the display
+// syntax.
+func TestAppendKeyExact(t *testing.T) {
+	key := func(tr Trace) string { return string(tr.AppendKey(nil)) }
+	a, b := exOp(1, 3, false, 3), exOp(2, 4, false, 4)
+	odd := Operation{Thread: 1, Object: "E.{", Method: "exchange", Arg: history.Int(3), Ret: history.Pair(false, 3)}
+	distinct := []Trace{
+		nil,
+		{Singleton(a)},
+		{Singleton(b)},
+		{Singleton(odd)},
+		{Singleton(a), Singleton(b)},
+		{Singleton(b), Singleton(a)},
+		{MustElement(a, b)},
+		{swapElem(1, 3, 2, 4)},
+	}
+	seen := map[string]int{}
+	for i, tr := range distinct {
+		if j, dup := seen[key(tr)]; dup {
+			t.Errorf("traces %d and %d share a key: %v, %v", j, i, distinct[j], tr)
+		}
+		seen[key(tr)] = i
 	}
 }
 
