@@ -32,11 +32,13 @@ go test -race -short ./...
 echo "== go test -race -short -cpu 1,2,4 ./internal/sched/ ./internal/model/ ./internal/rg/ =="
 go test -race -short -cpu 1,2,4 ./internal/sched/ ./internal/model/ ./internal/rg/
 
-# The pinned state counts and the key-exactness check hold the explorer's
-# state identity; run them in full (dualstack and F2 included) at several
-# core counts, not only at this machine's GOMAXPROCS.
-echo "== go test -run 'TestParallelEquivalence|TestStateCounts|TestKeyExact' -cpu 1,2,4 ./internal/model/ =="
-go test -run 'TestParallelEquivalence|TestStateCounts|TestKeyExact' -cpu 1,2,4 ./internal/model/
+# The pinned state counts, the key-exactness check and the running-key
+# check hold the explorer's state identity, and the memo check holds the
+# memoized terminal hook to a fresh evaluation; run them in full
+# (dualstack and F2 included) at several core counts, not only at this
+# machine's GOMAXPROCS.
+echo "== go test -run 'TestParallelEquivalence|TestStateCounts|TestKeyExact|TestKeyIncremental|TestVerifyCALMemo' -cpu 1,2,4 ./internal/model/ =="
+go test -run 'TestParallelEquivalence|TestStateCounts|TestKeyExact|TestKeyIncremental|TestVerifyCALMemo' -cpu 1,2,4 ./internal/model/
 
 # The parallel engine, the batch checker, the daemon's job queue, the
 # specialized monitors and the run-history store are the packages whose
@@ -276,25 +278,55 @@ esac
 
 # Both -auto runs also recorded trajectory points in the run-history
 # store living in the -auto directory; a regression query over it must
-# name two distinct records and reproduce every per-cell delta from the
-# stored rates.
+# name two distinct records, cover exactly the cells the two stored bench
+# records share, reproduce every per-cell delta from their rates and list
+# the cells worst-first. The current record is the second run, whose
+# rates calbench also wrote to the BENCH file.
 go run ./cmd/calreport -store "$auto_dir" -query "regressions" \
     -o "$explain_dir/auto-query.json"
 python3 -c '
-import json, sys
+import glob, json, os, sys
 res = json.load(open(sys.argv[1]))
 assert res["schema"] == "calgo.query/v1", res
 assert res["mode"] == "regressions", res
 assert res["current_id"] != res["baseline_id"], res
+
+stored = {}
+for seg in glob.glob(os.path.join(sys.argv[2], "run-*.jsonl")):
+    for line in open(seg):
+        rec = json.loads(line)
+        if rec.get("bench"):
+            stored[rec["id"]] = rec["bench"]
+
+def cells(doc):
+    out = {}
+    for t in doc["tables"]:
+        for r in t["rows"]:
+            for i, c in enumerate(t["columns"]):
+                if i < len(r["ops_per_sec"]):
+                    out[(t["id"], r["name"], c)] = r["ops_per_sec"][i]
+    return out
+
+cur_doc = stored[res["current_id"]]
+assert cur_doc["tables"] == json.load(open(sys.argv[3]))["tables"], \
+    "current record is not the run calbench wrote to the BENCH file"
+base, cur = cells(stored[res["baseline_id"]]), cells(cur_doc)
+want = {k: (cur[k] - base[k]) / base[k] * 100
+        for k in base if k in cur and base[k] > 0}
 deltas = res.get("deltas") or []
 assert deltas, "regression query over two -auto runs returned no cells"
-for d in deltas:
-    want = (d["cur_ops_per_sec"] - d["base_ops_per_sec"]) / d["base_ops_per_sec"] * 100
-    assert abs(d["delta_pct"] - want) < 1e-9, d
-assert all(d["table"] == "B7" for d in deltas), deltas
-print("run store: %s vs %s, %d B7 cell deltas consistent"
+got = {(d["table"], d["row"], d["column"]): d for d in deltas}
+assert len(got) == len(deltas), "a cell is listed twice"
+assert set(got) == set(want), set(got) ^ set(want)
+for k, pct in want.items():
+    d = got[k]
+    assert (d["base_ops_per_sec"], d["cur_ops_per_sec"]) == (base[k], cur[k]), d
+    assert abs(d["delta_pct"] - pct) < 1e-9, (d, pct)
+pcts = [d["delta_pct"] for d in deltas]
+assert pcts == sorted(pcts), "deltas not worst-first"
+print("run store: %s vs %s, %d cell deltas match the stored records, worst-first"
       % (res["current_id"], res["baseline_id"], len(deltas)))
-' "$explain_dir/auto-query.json"
+' "$explain_dir/auto-query.json" "$auto_dir" "$bench_file"
 
 # Smoke the perf-trajectory path warn-only: -compare against the
 # committed baseline must parse it and print a delta summary. No -gate
@@ -310,51 +342,33 @@ case "$compare_out" in
     ;;
 esac
 
-# The committed trajectory files are the ground truth for the query
-# layer: ingest both into a fresh store (calreport does this on open)
-# and assert the regression query reproduces every per-cell delta an
-# independent recomputation of the two JSON documents yields.
+# The committed trajectory files were taken at different windows (60ms
+# and 500ms): ingest both into a fresh store (calreport does this on
+# open) and assert the regression query refuses to compare them, naming
+# both settings, as calbench -gate does. The -auto smoke above covers
+# the deltas of a comparable pair.
 echo "== run-history store query smoke (committed trajectories) =="
 store_dir="$explain_dir/runstore"
 mkdir -p "$store_dir"
 cp BENCH_2026-08-06.json BENCH_2026-08-08.json "$store_dir/"
-go run ./cmd/calreport -store "$store_dir" -query "regressions" \
-    -o "$explain_dir/committed-query.json"
-check_committed_deltas() {
-    # $1: calgo.query/v1 JSON path; $2: label for the success line.
-    python3 -c '
-import json, sys
-
-def cells(path):
-    doc = json.load(open(path))
-    out = {}
-    for t in doc["tables"]:
-        for r in t["rows"]:
-            for i, c in enumerate(t["columns"]):
-                if i < len(r["ops_per_sec"]):
-                    out[(t["id"], r["name"], c)] = r["ops_per_sec"][i]
-    return out
-
-base, cur = cells("BENCH_2026-08-06.json"), cells("BENCH_2026-08-08.json")
-want = {k: (cur[k] - base[k]) / base[k] * 100
-        for k in base if k in cur and base[k] > 0}
-
-res = json.load(open(sys.argv[1]))
-assert res["schema"] == "calgo.query/v1", res
-assert res["baseline_id"] == "bench-BENCH_2026-08-06", res
-assert res["current_id"] == "bench-BENCH_2026-08-08", res
-got = {(d["table"], d["row"], d["column"]): d["delta_pct"]
-       for d in res.get("deltas") or []}
-assert set(got) == set(want), (set(got) ^ set(want))
-for k, pct in want.items():
-    assert abs(got[k] - pct) < 1e-9, (k, got[k], pct)
-pcts = [d["delta_pct"] for d in res["deltas"]]
-assert pcts == sorted(pcts), "deltas not worst-first"
-print("%s: %d per-cell deltas match the committed trajectories exactly"
-      % (sys.argv[2], len(want)))
-' "$1" "$2"
+if go run ./cmd/calreport -store "$store_dir" -query "regressions" \
+    -o "$explain_dir/committed-query.json" 2>"$explain_dir/committed-query.err"; then
+    echo "calreport compared trajectories taken at different settings" >&2
+    exit 1
+fi
+refused_settings() {
+    # $1: file holding the refusal; $2: label for the success line.
+    for want in "REFUSED" "bench-BENCH_2026-08-06 settings (gomaxprocs=1, window=60ms)" \
+        "bench-BENCH_2026-08-08 (gomaxprocs=1, window=500ms)"; do
+        grep -qF "$want" "$1" || {
+            echo "$2: refusal does not name \"$want\":" >&2
+            cat "$1" >&2
+            exit 1
+        }
+    done
+    echo "$2: cross-settings regressions refused, both settings named"
 }
-check_committed_deltas "$explain_dir/committed-query.json" "calreport -query"
+refused_settings "$explain_dir/committed-query.err" "calreport -query"
 
 # Smoke the checking daemon end to end: build cald under the race
 # detector, round-trip a history through calcheck -remote, prove the
@@ -611,26 +625,43 @@ print("streaming smoke: VIOLATION-at-event-163 over SSE, shed prefix counted on 
 kill -TERM "$pid4"
 wait "$pid4"
 
-# The same committed-trajectory regression must be answerable over HTTP:
-# point a cald at the store the calreport smoke ingested and ask /queryz
-# for the identical calgo.query/v1 document (plus an HTML rendering for
-# browsers).
-echo "== cald /queryz smoke (committed trajectories) =="
+# The same regression queries must be answerable over HTTP: a cald on
+# the committed-trajectory store answers 422 with the refusal, and a
+# cald on the -auto store serves the calgo.query/v1 document calreport
+# computed (plus an HTML rendering for browsers).
+echo "== cald /queryz smoke =="
 start_cald "$explain_dir/cald5.log" -store "$store_dir"
 url5="$cald_url"
 pid5="$cald_pid"
 python3 -c '
-import sys, urllib.request
-base = sys.argv[1].rstrip("/")
-open(sys.argv[2], "wb").write(
-    urllib.request.urlopen(base + "/queryz?mode=regressions", timeout=10).read())
-html = urllib.request.urlopen(base + "/queryz?mode=regressions&format=html",
-                              timeout=10).read().decode()
-assert "<table>" in html and "bench-BENCH_2026-08-06" in html, html[:400]
-' "$url5" "$explain_dir/queryz.json"
-check_committed_deltas "$explain_dir/queryz.json" "/queryz"
+import sys, urllib.error, urllib.request
+try:
+    urllib.request.urlopen(sys.argv[1].rstrip("/") + "/queryz?mode=regressions", timeout=10)
+    raise AssertionError("/queryz compared trajectories taken at different settings")
+except urllib.error.HTTPError as e:
+    assert e.code == 422, e.code
+    open(sys.argv[2], "wb").write(e.read())
+' "$url5" "$explain_dir/queryz.err"
+refused_settings "$explain_dir/queryz.err" "/queryz"
 kill -TERM "$pid5"
 wait "$pid5"
+start_cald "$explain_dir/cald6.log" -store "$auto_dir"
+url6="$cald_url"
+pid6="$cald_pid"
+python3 -c '
+import json, sys, urllib.request
+base = sys.argv[1].rstrip("/")
+got = json.load(urllib.request.urlopen(base + "/queryz?mode=regressions", timeout=10))
+want = json.load(open(sys.argv[2]))
+for k in ("schema", "mode", "current_id", "baseline_id", "total", "deltas"):
+    assert got.get(k) == want.get(k), (k, got.get(k), want.get(k))
+html = urllib.request.urlopen(base + "/queryz?mode=regressions&format=html",
+                              timeout=10).read().decode()
+assert "<table>" in html and want["baseline_id"] in html, html[:400]
+print("/queryz: %d cell deltas identical to calreport -query" % len(want["deltas"]))
+' "$url6" "$explain_dir/auto-query.json"
+kill -TERM "$pid6"
+wait "$pid6"
 
 # Smoke the retention policy on a live daemon: reopen a store that
 # already holds two bench trajectory points under keep-bench 1 with a

@@ -213,10 +213,16 @@ func (h History) Append(events ...Event) History {
 func (h History) AppendKey(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(h)))
 	for _, e := range h {
-		b = append(b, byte(e.Kind))
-		b = AppendOpKey(b, e.Thread, e.Object, e.Method, e.Arg, e.Ret)
+		b = e.AppendKey(b)
 	}
 	return b
+}
+
+// AppendKey appends the exact encoding of one event to b: the bytes
+// History.AppendKey writes for it after the count, so an append-only
+// history's encoding can be carried along event by event.
+func (e Event) AppendKey(b []byte) []byte {
+	return AppendOpKey(append(b, byte(e.Kind)), e.Thread, e.Object, e.Method, e.Arg, e.Ret)
 }
 
 // AppendOpKey appends the exact encoding of one operation's fields to b:

@@ -115,7 +115,7 @@ func (s *DQState) Object() history.ObjectID { return s.cfg.Object }
 
 // Key implements sched.State.
 func (s *DQState) Key() string {
-	k := appendInts(s.appendKey(nil), s.Head, s.Tail)
+	k := appendInts(s.appendKey(s.keyBuf(len(s.Nodes)+3)), s.Head, s.Tail)
 	return string(appendSection(k, s.Nodes))
 }
 
@@ -158,10 +158,10 @@ func (s *DQState) step(t int, out []sched.Succ) []sched.Succ {
 	case qdIdle:
 		nt.round = 0
 		if op.IsEnq {
-			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodEnq, history.Int(op.V)))
+			c.log(history.Inv(id, obj, spec.MethodEnq, history.Int(op.V)))
 			nt.pc = qdEnqRead
 		} else {
-			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodDeq, history.Unit()))
+			c.log(history.Inv(id, obj, spec.MethodDeq, history.Unit()))
 			nt.pc = qdDeqRead
 		}
 		return mk("inv")
@@ -198,7 +198,7 @@ func (s *DQState) step(t int, out []sched.Succ) []sched.Succ {
 	case qdEnqCAS:
 		if s.Nodes[th.tail].Next == -1 {
 			c.Nodes[th.tail].Next = th.n
-			c.Trace = append(c.Trace, trace.Singleton(trace.Operation{
+			c.record(trace.Singleton(trace.Operation{
 				Thread: id, Object: obj, Method: spec.MethodEnq,
 				Arg: history.Int(op.V), Ret: history.Bool(true),
 			}))
@@ -220,7 +220,7 @@ func (s *DQState) step(t int, out []sched.Succ) []sched.Succ {
 			c.Nodes[th.first].Hole = 1
 			c.Nodes[th.first].Fulfilled = true
 			c.Nodes[th.first].Data = op.V
-			c.Trace = append(c.Trace, spec.QFulfilmentElement(obj, id, op.V, r.Tid))
+			c.record(spec.QFulfilmentElement(obj, id, op.V, r.Tid))
 			nt.retOK = true
 			nt.pc = qdFulfilHead
 			return mk("FULFIL")
@@ -275,7 +275,7 @@ func (s *DQState) step(t int, out []sched.Succ) []sched.Succ {
 		if s.Head == th.head {
 			c.Head = th.first
 			v := s.Nodes[th.first].Data
-			c.Trace = append(c.Trace, trace.Singleton(trace.Operation{
+			c.record(trace.Singleton(trace.Operation{
 				Thread: id, Object: obj, Method: spec.MethodDeq,
 				Arg: history.Unit(), Ret: history.Pair(true, v),
 			}))
@@ -307,7 +307,7 @@ func (s *DQState) step(t int, out []sched.Succ) []sched.Succ {
 			return mk("fulfilled")
 		}
 		c.Nodes[th.n].Hole = dsCancelled
-		c.Trace = append(c.Trace, trace.Singleton(trace.Operation{
+		c.record(trace.Singleton(trace.Operation{
 			Thread: id, Object: obj, Method: spec.MethodDeq,
 			Arg: history.Unit(), Ret: history.Pair(false, 0),
 		}))
@@ -316,9 +316,9 @@ func (s *DQState) step(t int, out []sched.Succ) []sched.Succ {
 		return mk("CANCEL")
 	case qdRet:
 		if op.IsEnq {
-			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodEnq, history.Bool(true)))
+			c.log(history.Res(id, obj, spec.MethodEnq, history.Bool(true)))
 		} else {
-			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodDeq, history.Pair(th.retOK, th.retV)))
+			c.log(history.Res(id, obj, spec.MethodDeq, history.Pair(th.retOK, th.retV)))
 		}
 		nt.op++
 		nt.head, nt.tail, nt.first, nt.n, nt.round = -1, -1, -1, -1, 0

@@ -111,7 +111,7 @@ func (s *DSState) Object() history.ObjectID { return s.cfg.Object }
 
 // Key implements sched.State.
 func (s *DSState) Key() string {
-	k := appendInts(s.appendKey(nil), s.Top)
+	k := appendInts(s.appendKey(s.keyBuf(len(s.Nodes)+2)), s.Top)
 	return string(appendSection(k, s.Nodes))
 }
 
@@ -155,10 +155,10 @@ func (s *DSState) step(t int, out []sched.Succ) []sched.Succ {
 	case dpcIdle:
 		nt.round = 0
 		if op.IsPush {
-			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPush, history.Int(op.V)))
+			c.log(history.Inv(id, obj, spec.MethodPush, history.Int(op.V)))
 			nt.pc = dpcPushRead
 		} else {
-			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPop, history.Unit()))
+			c.log(history.Inv(id, obj, spec.MethodPop, history.Unit()))
 			nt.pc = dpcPopRead
 		}
 		return mk("inv")
@@ -180,7 +180,7 @@ func (s *DSState) step(t int, out []sched.Succ) []sched.Succ {
 	case dpcPushCAS:
 		if s.Top == th.h {
 			c.Top = th.n
-			c.Trace = append(c.Trace, spec.PushElement(obj, id, op.V, true))
+			c.record(spec.PushElement(obj, id, op.V, true))
 			nt.retOK = true
 			nt.pc = dpcRet
 			return mk("PUSH")
@@ -193,7 +193,7 @@ func (s *DSState) step(t int, out []sched.Succ) []sched.Succ {
 			c.Nodes[th.h].Hole = 1
 			c.Nodes[th.h].Fulfilled = true
 			c.Nodes[th.h].Data = op.V
-			c.Trace = append(c.Trace, spec.FulfilmentElement(obj, id, op.V, r.Tid))
+			c.record(spec.FulfilmentElement(obj, id, op.V, r.Tid))
 			nt.pushDone = true
 			nt.pc = dpcUnlinkPush
 			return mk("FULFIL")
@@ -250,7 +250,7 @@ func (s *DSState) step(t int, out []sched.Succ) []sched.Succ {
 		if s.Top == th.h {
 			c.Top = s.Nodes[th.h].Next
 			v := s.Nodes[th.h].Data
-			c.Trace = append(c.Trace, spec.PopElement(obj, id, true, v))
+			c.record(spec.PopElement(obj, id, true, v))
 			nt.retOK, nt.retV = true, v
 			nt.pc = dpcRet
 			return mk("POP")
@@ -278,7 +278,7 @@ func (s *DSState) step(t int, out []sched.Succ) []sched.Succ {
 		}
 		// Patience exhausted at this schedule point: cancel.
 		c.Nodes[th.n].Hole = dsCancelled
-		c.Trace = append(c.Trace, spec.PopElement(obj, id, false, 0))
+		c.record(spec.PopElement(obj, id, false, 0))
 		if s.Top == th.n {
 			c.Top = r.Next
 		}
@@ -287,9 +287,9 @@ func (s *DSState) step(t int, out []sched.Succ) []sched.Succ {
 		return mk("CANCEL")
 	case dpcRet:
 		if op.IsPush {
-			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodPush, history.Bool(true)))
+			c.log(history.Res(id, obj, spec.MethodPush, history.Bool(true)))
 		} else {
-			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodPop, history.Pair(th.retOK, th.retV)))
+			c.log(history.Res(id, obj, spec.MethodPop, history.Pair(th.retOK, th.retV)))
 		}
 		nt.op++
 		nt.h, nt.n, nt.pushDone, nt.round = -1, -1, false, 0

@@ -151,7 +151,8 @@ func (s *ESState) Project(tr trace.Trace) trace.Trace {
 
 // Key implements sched.State.
 func (s *ESState) Key() string {
-	k := appendSection(appendInts(s.appendKey(nil), s.Top), s.Cells)
+	heap := len(s.Cells) + len(s.G) + len(s.Offers) + 4
+	k := appendSection(appendInts(s.appendKey(s.keyBuf(heap)), s.Top), s.Cells)
 	k = appendInts(appendLen(k, len(s.G)), s.G...)
 	return string(appendSection(k, s.Offers))
 }
@@ -223,10 +224,10 @@ func (s *ESState) step(t int, out []sched.Succ) []sched.Succ {
 		op := s.opOf(t)
 		nt.round = 0
 		if op.IsPush {
-			c.Hist = append(c.Hist, history.Inv(id, s.cfg.Object, spec.MethodPush, history.Int(op.V)))
+			c.log(history.Inv(id, s.cfg.Object, spec.MethodPush, history.Int(op.V)))
 			nt.pc = epcPushRead
 		} else {
-			c.Hist = append(c.Hist, history.Inv(id, s.cfg.Object, spec.MethodPop, history.Unit()))
+			c.log(history.Inv(id, s.cfg.Object, spec.MethodPop, history.Unit()))
 			nt.pc = epcPopRead
 		}
 		return mk("inv")
@@ -241,17 +242,17 @@ func (s *ESState) step(t int, out []sched.Succ) []sched.Succ {
 		op := s.opOf(t)
 		if s.Top == th.h {
 			c.Top = th.n
-			c.Trace = append(c.Trace, spec.PushElement(s.stackID(), id, op.V, true))
+			c.record(spec.PushElement(s.stackID(), id, op.V, true))
 			nt.pc = epcRet
 			nt.retV = 0
 			return mk("S-PUSH")
 		}
-		c.Trace = append(c.Trace, spec.PushElement(s.stackID(), id, op.V, false))
+		c.record(spec.PushElement(s.stackID(), id, op.V, false))
 		nt.pc = epcSlot
 		return mk("s-push-miss")
 	case epcPopRead:
 		if s.Top == -1 {
-			c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, false, 0))
+			c.record(spec.PopElement(s.stackID(), id, false, 0))
 			nt.pc = epcSlot
 			return mk("s-pop-empty")
 		}
@@ -262,12 +263,12 @@ func (s *ESState) step(t int, out []sched.Succ) []sched.Succ {
 		if s.Top == th.h {
 			c.Top = s.Cells[th.h].Next
 			v := s.Cells[th.h].Data
-			c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, true, v))
+			c.record(spec.PopElement(s.stackID(), id, true, v))
 			nt.retV = v
 			nt.pc = epcRet
 			return mk("S-POP")
 		}
-		c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, false, 0))
+		c.record(spec.PopElement(s.stackID(), id, false, 0))
 		nt.pc = epcSlot
 		return mk("s-pop-miss")
 	case epcSlot:
@@ -297,7 +298,7 @@ func (s *ESState) step(t int, out []sched.Succ) []sched.Succ {
 	case epcExPass:
 		if s.Offers[th.xn].Hole == HoleNull {
 			c.Offers[th.xn].Hole = HoleFail
-			c.Trace = append(c.Trace, spec.FailElement(s.slotID(th.slot), id, s.Offers[th.xn].Data))
+			c.record(spec.FailElement(s.slotID(th.slot), id, s.Offers[th.xn].Data))
 			s.afterExchange(c, t, s.Offers[th.xn].Data)
 			return mk("E-PASS")
 		}
@@ -316,7 +317,7 @@ func (s *ESState) step(t int, out []sched.Succ) []sched.Succ {
 		if s.Offers[th.xcur].Hole == HoleNull {
 			c.Offers[th.xcur].Hole = th.xn
 			partner := s.Offers[th.xcur]
-			c.Trace = append(c.Trace, spec.SwapElement(s.slotID(th.slot), partner.Tid, partner.Data, id, s.exchangeArg(t)))
+			c.record(spec.SwapElement(s.slotID(th.slot), partner.Tid, partner.Data, id, s.exchangeArg(t)))
 			nt.xs = true
 			nt.pc = epcExClean
 			return mk("E-XCHG")
@@ -337,15 +338,15 @@ func (s *ESState) step(t int, out []sched.Succ) []sched.Succ {
 		}
 		return mk(label)
 	case epcExFail:
-		c.Trace = append(c.Trace, spec.FailElement(s.slotID(th.slot), id, s.exchangeArg(t)))
+		c.record(spec.FailElement(s.slotID(th.slot), id, s.exchangeArg(t)))
 		s.afterExchange(c, t, s.exchangeArg(t))
 		return mk("E-FAIL")
 	case epcRet:
 		op := s.opOf(t)
 		if op.IsPush {
-			c.Hist = append(c.Hist, history.Res(id, s.cfg.Object, spec.MethodPush, history.Bool(true)))
+			c.log(history.Res(id, s.cfg.Object, spec.MethodPush, history.Bool(true)))
 		} else {
-			c.Hist = append(c.Hist, history.Res(id, s.cfg.Object, spec.MethodPop, history.Pair(true, th.retV)))
+			c.log(history.Res(id, s.cfg.Object, spec.MethodPop, history.Pair(true, th.retV)))
 		}
 		nt.op++
 		nt.h, nt.n, nt.slot, nt.xn, nt.xcur, nt.xs, nt.round = -1, -1, -1, -1, -1, false, 0

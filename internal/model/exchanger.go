@@ -123,7 +123,7 @@ func (s *ExchangerState) arg(t int) int64 {
 
 // Key implements sched.State.
 func (s *ExchangerState) Key() string {
-	k := appendInts(s.appendKey(nil), s.G)
+	k := appendInts(s.appendKey(s.keyBuf(len(s.Offers)+2)), s.G)
 	return string(appendSection(k, s.Offers))
 }
 
@@ -165,7 +165,7 @@ func (s *ExchangerState) step(t int, out []sched.Succ) []sched.Succ {
 	case pcIdle:
 		// inv: record the invocation and allocate the offer (lines 12-13).
 		v := s.arg(t)
-		c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodExchange, history.Int(v)))
+		c.log(history.Inv(id, obj, spec.MethodExchange, history.Int(v)))
 		c.Offers = append(c.Offers, Offer{Tid: id, Data: v, Hole: HoleNull})
 		nt.n = len(c.Offers) - 1
 		nt.cur = -1
@@ -187,7 +187,7 @@ func (s *ExchangerState) step(t int, out []sched.Succ) []sched.Succ {
 		if s.Offers[th.n].Hole == HoleNull {
 			c.Offers[th.n].Hole = HoleFail
 			if s.cfg.Bug != "drop-pass-log" {
-				c.Trace = append(c.Trace, spec.FailElement(obj, id, s.Offers[th.n].Data))
+				c.record(spec.FailElement(obj, id, s.Offers[th.n].Data))
 			}
 			nt.retOK, nt.retV = false, s.Offers[th.n].Data
 			nt.pc = pcRet
@@ -215,13 +215,13 @@ func (s *ExchangerState) step(t int, out []sched.Succ) []sched.Succ {
 			switch s.cfg.Bug {
 			case "wrong-swap-values":
 				// Defect: the logged swap's values do not cross.
-				c.Trace = append(c.Trace, spec.SwapElement(obj, partner.Tid, s.arg(t), id, partner.Data))
+				c.record(spec.SwapElement(obj, partner.Tid, s.arg(t), id, partner.Data))
 			case "late-swap-log":
 				// Defect: the auxiliary assignment is deferred to the
 				// return, breaking the atomicity of the XCHG action.
 				nt.lateLog = true
 			default:
-				c.Trace = append(c.Trace, spec.SwapElement(obj, partner.Tid, partner.Data, id, s.arg(t)))
+				c.record(spec.SwapElement(obj, partner.Tid, partner.Data, id, s.arg(t)))
 			}
 			nt.s = true
 			nt.pc = pcClean
@@ -247,7 +247,7 @@ func (s *ExchangerState) step(t int, out []sched.Succ) []sched.Succ {
 	case pcLogFail:
 		// line 35: h := h · (E.{(tid, ex(v) ▷ false, v)}) — the FAIL action.
 		v := s.arg(t)
-		c.Trace = append(c.Trace, spec.FailElement(obj, id, v))
+		c.record(spec.FailElement(obj, id, v))
 		nt.retOK, nt.retV = false, v
 		nt.pc = pcRet
 		return mk("FAIL")
@@ -255,10 +255,10 @@ func (s *ExchangerState) step(t int, out []sched.Succ) []sched.Succ {
 		// Emit the response action and move to the next operation.
 		if th.lateLog && th.cur >= 0 {
 			partner := s.Offers[th.cur]
-			c.Trace = append(c.Trace, spec.SwapElement(obj, partner.Tid, partner.Data, id, s.arg(t)))
+			c.record(spec.SwapElement(obj, partner.Tid, partner.Data, id, s.arg(t)))
 			nt.lateLog = false
 		}
-		c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodExchange, history.Pair(th.retOK, th.retV)))
+		c.log(history.Res(id, obj, spec.MethodExchange, history.Pair(th.retOK, th.retV)))
 		nt.op++
 		nt.n, nt.cur, nt.s = -1, -1, false
 		if nt.op < len(s.cfg.Programs[t]) {

@@ -108,7 +108,7 @@ func (s *ISState) Project(tr trace.Trace) trace.Trace {
 
 // Key implements sched.State.
 func (s *ISState) Key() string {
-	k := s.appendKey(nil)
+	k := s.appendKey(s.keyBuf(len(s.Levels) + 1))
 	return string(appendInts(appendLen(k, len(s.Levels)), s.Levels...))
 }
 
@@ -139,7 +139,7 @@ func (s *ISState) step(t int, out []sched.Succ) []sched.Succ {
 	case ipcIdle:
 		// inv + value write (the value register is written once, before
 		// any level activity, so folding them is safe).
-		c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodUpdate, history.Int(s.cfg.Values[t])))
+		c.log(history.Inv(id, obj, spec.MethodUpdate, history.Int(s.cfg.Values[t])))
 		nt.lev = n
 		nt.pc = ipcSetLevel
 		return mk("inv")
@@ -189,11 +189,11 @@ func (s *ISState) step(t int, out []sched.Succ) []sched.Succ {
 		if th.members&(1<<t) == 0 {
 			nt.retCard = -1 // flagged by the terminal check
 		}
-		c.Trace = append(c.Trace, trace.Singleton(trace.Operation{
+		c.record(trace.Singleton(trace.Operation{
 			Thread: id, Object: obj, Method: spec.MethodUpdate,
 			Arg: history.Int(s.cfg.Values[t]), Ret: history.Pair(true, int64(th.retCard)),
 		}))
-		c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodUpdate, history.Pair(true, int64(th.retCard))))
+		c.log(history.Res(id, obj, spec.MethodUpdate, history.Pair(true, int64(th.retCard))))
 		nt.pc = ipcDoneIS
 		return mk("res")
 	default:

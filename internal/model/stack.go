@@ -94,7 +94,7 @@ func (s *StackState) Object() history.ObjectID { return s.cfg.Object }
 
 // Key implements sched.State.
 func (s *StackState) Key() string {
-	k := appendInts(s.appendKey(nil), s.Top)
+	k := appendInts(s.appendKey(s.keyBuf(len(s.Cells)+2)), s.Top)
 	return string(appendSection(k, s.Cells))
 }
 
@@ -124,10 +124,10 @@ func (s *StackState) step(t int, out []sched.Succ) []sched.Succ {
 	case spcIdle:
 		op := s.cfg.Programs[t][th.op]
 		if op.IsPush {
-			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPush, history.Int(op.V)))
+			c.log(history.Inv(id, obj, spec.MethodPush, history.Int(op.V)))
 			nt.pc = spcPushRead
 		} else {
-			c.Hist = append(c.Hist, history.Inv(id, obj, spec.MethodPop, history.Unit()))
+			c.log(history.Inv(id, obj, spec.MethodPop, history.Unit()))
 			nt.pc = spcPopRead
 		}
 		return mk("inv")
@@ -148,14 +148,14 @@ func (s *StackState) step(t int, out []sched.Succ) []sched.Succ {
 			label = "PUSH"
 		}
 		ok := label == "PUSH"
-		c.Trace = append(c.Trace, spec.PushElement(obj, id, op.V, ok))
+		c.record(spec.PushElement(obj, id, op.V, ok))
 		nt.retOK = ok
 		nt.pc = spcRet
 		return mk(label)
 	case spcPopRead:
 		if s.Top == -1 {
 			// Empty: the read of top is the linearization point.
-			c.Trace = append(c.Trace, spec.PopElement(obj, id, false, 0))
+			c.record(spec.PopElement(obj, id, false, 0))
 			nt.retOK, nt.retV = false, 0
 			nt.pc = spcRet
 			return mk("POP-EMPTY")
@@ -166,21 +166,21 @@ func (s *StackState) step(t int, out []sched.Succ) []sched.Succ {
 	case spcPopCAS:
 		if s.Top == th.h {
 			c.Top = s.Cells[th.h].Next
-			c.Trace = append(c.Trace, spec.PopElement(obj, id, true, s.Cells[th.h].Data))
+			c.record(spec.PopElement(obj, id, true, s.Cells[th.h].Data))
 			nt.retOK, nt.retV = true, s.Cells[th.h].Data
 			nt.pc = spcRet
 			return mk("POP")
 		}
-		c.Trace = append(c.Trace, spec.PopElement(obj, id, false, 0))
+		c.record(spec.PopElement(obj, id, false, 0))
 		nt.retOK, nt.retV = false, 0
 		nt.pc = spcRet
 		return mk("pop-miss")
 	case spcRet:
 		op := s.cfg.Programs[t][th.op]
 		if op.IsPush {
-			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodPush, history.Bool(th.retOK)))
+			c.log(history.Res(id, obj, spec.MethodPush, history.Bool(th.retOK)))
 		} else {
-			c.Hist = append(c.Hist, history.Res(id, obj, spec.MethodPop, history.Pair(th.retOK, th.retV)))
+			c.log(history.Res(id, obj, spec.MethodPop, history.Pair(th.retOK, th.retV)))
 		}
 		nt.op++
 		nt.h, nt.n = -1, -1

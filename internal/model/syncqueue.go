@@ -103,7 +103,7 @@ func (s *SQState) Object() history.ObjectID { return s.cfg.Object }
 
 // Key implements sched.State.
 func (s *SQState) Key() string {
-	k := appendInts(s.appendKey(nil), s.G)
+	k := appendInts(s.appendKey(s.keyBuf(len(s.Offers)+2)), s.G)
 	return string(appendSection(k, s.Offers))
 }
 
@@ -154,7 +154,7 @@ func (s *SQState) step(t int, out []sched.Succ) []sched.Succ {
 	}
 	switch th.pc {
 	case qpcIdle:
-		c.Hist = append(c.Hist, s.invEvent(t))
+		c.log(s.invEvent(t))
 		c.Offers = append(c.Offers, sqOffer{IsPut: op.IsPut, Tid: tid(t), Data: op.V, Hole: HoleNull})
 		nt.n = len(c.Offers) - 1
 		nt.cur = -1
@@ -172,7 +172,7 @@ func (s *SQState) step(t int, out []sched.Succ) []sched.Succ {
 	case qpcPass:
 		if s.Offers[th.n].Hole == HoleNull {
 			c.Offers[th.n].Hole = HoleFail
-			c.Trace = append(c.Trace, s.failElement(t))
+			c.record(s.failElement(t))
 			nt.retOK, nt.retV = false, 0
 			nt.pc = qpcRet
 			return mk("PASS")
@@ -208,7 +208,7 @@ func (s *SQState) step(t int, out []sched.Succ) []sched.Succ {
 			if !put.IsPut {
 				put, take = take, put
 			}
-			c.Trace = append(c.Trace, spec.HandOffElement(s.cfg.Object, put.Tid, put.Data, take.Tid))
+			c.record(spec.HandOffElement(s.cfg.Object, put.Tid, put.Data, take.Tid))
 			nt.matched = true
 		}
 		nt.pc = qpcClean
@@ -235,15 +235,15 @@ func (s *SQState) step(t int, out []sched.Succ) []sched.Succ {
 		}
 		return mk(label)
 	case qpcFail:
-		c.Trace = append(c.Trace, s.failElement(t))
+		c.record(s.failElement(t))
 		nt.retOK, nt.retV = false, 0
 		nt.pc = qpcRet
 		return mk("FAIL")
 	case qpcRet:
 		if op.IsPut {
-			c.Hist = append(c.Hist, history.Res(tid(t), s.cfg.Object, spec.MethodPut, history.Bool(th.retOK)))
+			c.log(history.Res(tid(t), s.cfg.Object, spec.MethodPut, history.Bool(th.retOK)))
 		} else {
-			c.Hist = append(c.Hist, history.Res(tid(t), s.cfg.Object, spec.MethodTake, history.Pair(th.retOK, th.retV)))
+			c.log(history.Res(tid(t), s.cfg.Object, spec.MethodTake, history.Pair(th.retOK, th.retV)))
 		}
 		nt.op++
 		nt.n, nt.cur, nt.matched = -1, -1, false

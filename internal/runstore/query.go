@@ -280,6 +280,12 @@ func runRegressions(ctx context.Context, st Store, q Query) (*Result, error) {
 	if base.Bench == nil || cur.Bench == nil {
 		return nil, fmt.Errorf("runstore: record %s/%s is not a bench record", base.ID, cur.ID)
 	}
+	// Deltas across GOMAXPROCS or measurement windows measure the
+	// settings, not the code; refuse them as calbench -gate does.
+	if b, c := base.Bench, cur.Bench; b.GOMAXPROCS != c.GOMAXPROCS || b.Window != c.Window {
+		return nil, fmt.Errorf("runstore: regressions REFUSED: baseline %s settings (gomaxprocs=%d, window=%s) differ from current %s (gomaxprocs=%d, window=%s); name a baseline taken at the current settings with baseline=ID",
+			base.ID, b.GOMAXPROCS, b.Window, cur.ID, c.GOMAXPROCS, c.Window)
+	}
 	deltas, skipped := BenchDeltas(base.Bench, cur.Bench, q.Table)
 	res := &Result{
 		Schema: QuerySchema, Mode: ModeRegressions,

@@ -237,7 +237,10 @@ func TestBenchDeltasSkipsUnmatchedCells(t *testing.T) {
 
 // TestCommittedTrajectoryDeltas is the acceptance pin: ingest the two
 // committed BENCH_*.json trajectories from the repo root and prove the
-// regression query returns the per-cell deltas those files imply.
+// regression query returns the per-cell deltas those files imply. The
+// two were taken at different windows (60ms and 500ms), so as committed
+// the query refuses the pair and names both settings; the deltas are
+// checked with the older point's settings aligned to the newer one's.
 func TestCommittedTrajectoryDeltas(t *testing.T) {
 	load := func(path string) *Bench {
 		b, err := os.ReadFile(path)
@@ -256,16 +259,36 @@ func TestCommittedTrajectoryDeltas(t *testing.T) {
 		t.Fatalf("trajectory order: %s !< %s", older.Generated, newer.Generated)
 	}
 
-	s := openTestFS(t, t.TempDir(), FSOptions{})
-	defer s.Close()
-	// Ingest out of lexical order to prove selection is by timestamp.
-	if err := s.Put(BenchRecord("bench-new", newer)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(BenchRecord("bench-old", older)); err != nil {
-		t.Fatal(err)
+	// ingest stores the pair out of lexical order, to prove selection
+	// is by timestamp.
+	ingest := func(older *Bench) Store {
+		s := openTestFS(t, t.TempDir(), FSOptions{})
+		t.Cleanup(func() { s.Close() })
+		if err := s.Put(BenchRecord("bench-new", newer)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(BenchRecord("bench-old", older)); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 
+	_, err := Run(ingest(older), Query{Mode: ModeRegressions})
+	if err == nil {
+		t.Fatal("regressions compared trajectories taken at different settings")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("bench-old settings (gomaxprocs=%d, window=%s)", older.GOMAXPROCS, older.Window),
+		fmt.Sprintf("bench-new (gomaxprocs=%d, window=%s)", newer.GOMAXPROCS, newer.Window),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
+	}
+
+	aligned := *older
+	aligned.GOMAXPROCS, aligned.Window = newer.GOMAXPROCS, newer.Window
+	s := ingest(&aligned)
 	res, err := Run(s, Query{Mode: ModeRegressions})
 	if err != nil {
 		t.Fatal(err)
@@ -308,5 +331,47 @@ func TestCommittedTrajectoryDeltas(t *testing.T) {
 	b1, _ := BenchDeltas(older, newer, "B1")
 	if resB1.Total != len(b1) || len(resB1.Deltas) != 1 || resB1.Deltas[0].Pct != b1[0].Pct {
 		t.Fatalf("B1 top-1 = %+v, want %+v", resB1.Deltas, b1[0])
+	}
+}
+
+// TestRegressionsRefuseAcrossSettings: a baseline taken at another
+// GOMAXPROCS or window is refused with both settings named, whether the
+// query picked it or was told to use it; a baseline at the current
+// settings compares.
+func TestRegressionsRefuseAcrossSettings(t *testing.T) {
+	s := NewRing(16, nil)
+	procs := benchAt("2026-08-01T00:00:00Z", 100)
+	procs.GOMAXPROCS = 1
+	window := benchAt("2026-08-02T00:00:00Z", 100)
+	window.Window = "500ms"
+	for id, doc := range map[string]*Bench{
+		"bench-same":   benchAt("2026-08-03T00:00:00Z", 100),
+		"bench-procs":  procs,
+		"bench-window": window,
+		"bench-cur":    benchAt("2026-08-04T00:00:00Z", 150),
+	} {
+		if err := s.Put(BenchRecord(id, doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ baseline, want string }{
+		{"bench-procs", "baseline bench-procs settings (gomaxprocs=1, window=60ms) differ from current bench-cur (gomaxprocs=4, window=60ms)"},
+		{"bench-window", "baseline bench-window settings (gomaxprocs=4, window=500ms) differ from current bench-cur (gomaxprocs=4, window=60ms)"},
+	} {
+		_, err := Run(s, Query{Mode: ModeRegressions, Baseline: tc.baseline})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "REFUSED") {
+			t.Errorf("baseline %s: err = %v, want a refusal naming %q", tc.baseline, err, tc.want)
+		}
+	}
+	res, err := Run(s, Query{Mode: ModeRegressions, Baseline: "bench-same"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BaselineID != "bench-same" || len(res.Deltas) != 4 || res.Deltas[0].Pct != 50 {
+		t.Fatalf("same-settings regressions = %+v", res)
+	}
+	// Left to pick, the query takes the newest older point, bench-same.
+	if res, err := Run(s, Query{Mode: ModeRegressions}); err != nil || res.BaselineID != "bench-same" {
+		t.Errorf("picked baseline: %+v, %v; want bench-same compared", res, err)
 	}
 }

@@ -125,13 +125,18 @@ func TestVisitedSetClaimOnce(t *testing.T) {
 }
 
 // TestVisitedSetShardSpread sanity-checks that the shard hash does not
-// degenerate: sequential keys must land in more than one shard.
+// degenerate: sequential keys must reach every shard. With a uniform hash
+// 4096 keys leave a shard empty with probability below 64·e⁻⁶⁴.
 func TestVisitedSetShardSpread(t *testing.T) {
 	used := make(map[uint64]bool)
-	for i := 0; i < 1000; i++ {
-		used[fnv64(fmt.Sprintf("state-%d", i))%visitedShards] = true
+	for i := 0; i < 4096; i++ {
+		sh := shardOf(fmt.Sprintf("state-%d", i))
+		if sh >= visitedShards {
+			t.Fatalf("shard %d out of range", sh)
+		}
+		used[sh] = true
 	}
-	if len(used) < visitedShards/2 {
-		t.Errorf("1000 keys hit only %d of %d shards", len(used), visitedShards)
+	if len(used) != visitedShards {
+		t.Errorf("4096 keys hit only %d of %d shards", len(used), visitedShards)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -261,14 +262,14 @@ func (n *node) schedule() []Step {
 // plausible worker count.
 const visitedShards = 64
 
-// fnv64 is FNV-1a over the key string; allocation-free.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+// shardSeed seeds the shard hash; one per process, so every visited set
+// spreads keys the same way within a run.
+var shardSeed = maphash.MakeSeed()
+
+// shardOf picks the visited-set shard of key: maphash hashes a word at a
+// time where a byte-at-a-time hash would cost more than the map lookup.
+func shardOf(key string) uint64 {
+	return maphash.String(shardSeed, key) & (visitedShards - 1)
 }
 
 // visitedSet is a sharded string set. Claim is the only operation:
@@ -289,7 +290,7 @@ func (v *visitedSet) init() {
 
 // claim records key as visited and reports whether it was new.
 func (v *visitedSet) claim(key string) bool {
-	sh := &v.shards[fnv64(key)&(visitedShards-1)]
+	sh := &v.shards[shardOf(key)]
 	sh.mu.Lock()
 	_, seen := sh.m[key]
 	if !seen {

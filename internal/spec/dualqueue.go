@@ -1,8 +1,6 @@
 package spec
 
 import (
-	"fmt"
-
 	"calgo/internal/history"
 	"calgo/internal/trace"
 )
@@ -47,7 +45,7 @@ func (d DualQueue) MaxElementSize() int { return 2 }
 // Step implements Spec.
 func (d DualQueue) Step(s State, el trace.Element) (State, error) {
 	if el.Object != d.Obj {
-		return nil, fmt.Errorf("element on object %s, spec constrains %s", el.Object, d.Obj)
+		return nil, rejectf("element on object %s, spec constrains %s", el.Object, d.Obj)
 	}
 	switch len(el.Ops) {
 	case 1:
@@ -55,27 +53,27 @@ func (d DualQueue) Step(s State, el trace.Element) (State, error) {
 	case 2:
 		qs, ok := s.(queueState)
 		if !ok {
-			return nil, fmt.Errorf("foreign state %T", s)
+			return nil, rejectf("foreign state %T", s)
 		}
 		enq, deq := el.Ops[0], el.Ops[1]
 		if enq.Method != MethodEnq {
 			enq, deq = deq, enq
 		}
 		if enq.Method != MethodEnq || deq.Method != MethodDeq {
-			return nil, fmt.Errorf("a fulfilment pairs one enq with one deq: %s", el)
+			return nil, reject("a fulfilment pairs one enq with one deq", el)
 		}
 		if enq.Arg.Kind != history.KindInt || enq.Ret != history.Bool(true) {
-			return nil, fmt.Errorf("fulfilment enq must be int ▷ true: %s", el)
+			return nil, reject("fulfilment enq must be int ▷ true", el)
 		}
 		if deq.Ret != history.Pair(true, enq.Arg.N) {
-			return nil, fmt.Errorf("fulfilled deq must return the enqueued value %d: %s", enq.Arg.N, el)
+			return nil, rejectf("fulfilled deq must return the enqueued value %d: %s", enq.Arg.N, el)
 		}
 		if qs.items != "" {
-			return nil, fmt.Errorf("fulfilment requires the empty queue (FIFO), state [%s]: %s", qs.items, el)
+			return nil, rejectf("fulfilment requires the empty queue (FIFO), state [%s]: %s", qs.items, el)
 		}
 		return qs, nil
 	default:
-		return nil, fmt.Errorf("dual queue elements have one or two operations, got %d", len(el.Ops))
+		return nil, rejectf("dual queue elements have one or two operations, got %d", len(el.Ops))
 	}
 }
 

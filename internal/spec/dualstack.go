@@ -1,8 +1,6 @@
 package spec
 
 import (
-	"fmt"
-
 	"calgo/internal/history"
 	"calgo/internal/trace"
 )
@@ -45,7 +43,7 @@ func (d DualStack) MaxElementSize() int { return 2 }
 // Step implements Spec.
 func (d DualStack) Step(s State, el trace.Element) (State, error) {
 	if el.Object != d.Obj {
-		return nil, fmt.Errorf("element on object %s, spec constrains %s", el.Object, d.Obj)
+		return nil, rejectf("element on object %s, spec constrains %s", el.Object, d.Obj)
 	}
 	switch len(el.Ops) {
 	case 1:
@@ -56,17 +54,17 @@ func (d DualStack) Step(s State, el trace.Element) (State, error) {
 			push, pop = pop, push
 		}
 		if push.Method != MethodPush || pop.Method != MethodPop {
-			return nil, fmt.Errorf("a fulfilment pairs one push with one pop: %s", el)
+			return nil, reject("a fulfilment pairs one push with one pop", el)
 		}
 		if push.Arg.Kind != history.KindInt || push.Ret != history.Bool(true) {
-			return nil, fmt.Errorf("fulfilment push must be int ▷ true: %s", el)
+			return nil, reject("fulfilment push must be int ▷ true", el)
 		}
 		if pop.Ret != history.Pair(true, push.Arg.N) {
-			return nil, fmt.Errorf("fulfilled pop must return the pushed value %d: %s", push.Arg.N, el)
+			return nil, rejectf("fulfilled pop must return the pushed value %d: %s", push.Arg.N, el)
 		}
 		return s, nil // push immediately popped: state unchanged
 	default:
-		return nil, fmt.Errorf("dual stack elements have one or two operations, got %d", len(el.Ops))
+		return nil, rejectf("dual stack elements have one or two operations, got %d", len(el.Ops))
 	}
 }
 

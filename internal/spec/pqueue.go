@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,45 +94,45 @@ func (p PQueue) MaxElementSize() int { return 1 }
 // Step implements Spec.
 func (p PQueue) Step(s State, el trace.Element) (State, error) {
 	if el.Object != p.Obj {
-		return nil, fmt.Errorf("element on object %s, spec constrains %s", el.Object, p.Obj)
+		return nil, rejectf("element on object %s, spec constrains %s", el.Object, p.Obj)
 	}
 	if len(el.Ops) != 1 {
-		return nil, fmt.Errorf("pqueue elements are singletons, got %d operations", len(el.Ops))
+		return nil, rejectf("pqueue elements are singletons, got %d operations", len(el.Ops))
 	}
 	ps, ok := s.(pqueueState)
 	if !ok {
-		return nil, fmt.Errorf("foreign state %T", s)
+		return nil, rejectf("foreign state %T", s)
 	}
 	op := el.Ops[0]
 	switch op.Method {
 	case MethodInsert:
 		if op.Arg.Kind != history.KindInt || op.Ret.Kind != history.KindBool || !op.Ret.B {
-			return nil, fmt.Errorf("insert must be int ▷ true, got %s ▷ %s", op.Arg, op.Ret)
+			return nil, rejectf("insert must be int ▷ true, got %s ▷ %s", op.Arg, op.Ret)
 		}
 		return ps.insert(op.Arg.N), nil
 	case MethodExtractMin:
 		if op.Arg.Kind != history.KindUnit || op.Ret.Kind != history.KindPair {
-			return nil, fmt.Errorf("extractmin must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
+			return nil, rejectf("extractmin must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if !op.Ret.B {
 			if op.Ret.N != 0 {
-				return nil, fmt.Errorf("failed extractmin must return (false,0): %s", el)
+				return nil, reject("failed extractmin must return (false,0)", el)
 			}
 			if ps.items != "" {
-				return nil, fmt.Errorf("extractmin may fail only on the empty queue, state [%s]", ps.items)
+				return nil, rejectf("extractmin may fail only on the empty queue, state [%s]", ps.items)
 			}
 			return ps, nil
 		}
 		next, v, nonEmpty := ps.extractMin()
 		if !nonEmpty {
-			return nil, fmt.Errorf("successful extractmin on empty queue: %s", el)
+			return nil, reject("successful extractmin on empty queue", el)
 		}
 		if v != op.Ret.N {
-			return nil, fmt.Errorf("extractmin returned %d but minimum is %d", op.Ret.N, v)
+			return nil, rejectf("extractmin returned %d but minimum is %d", op.Ret.N, v)
 		}
 		return next, nil
 	default:
-		return nil, fmt.Errorf("unknown method %s", op.Method)
+		return nil, rejectf("unknown method %s", op.Method)
 	}
 }
 

@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -81,45 +80,45 @@ func (q Queue) MaxElementSize() int { return 1 }
 // Step implements Spec.
 func (q Queue) Step(s State, el trace.Element) (State, error) {
 	if el.Object != q.Obj {
-		return nil, fmt.Errorf("element on object %s, spec constrains %s", el.Object, q.Obj)
+		return nil, rejectf("element on object %s, spec constrains %s", el.Object, q.Obj)
 	}
 	if len(el.Ops) != 1 {
-		return nil, fmt.Errorf("queue elements are singletons, got %d operations", len(el.Ops))
+		return nil, rejectf("queue elements are singletons, got %d operations", len(el.Ops))
 	}
 	qs, ok := s.(queueState)
 	if !ok {
-		return nil, fmt.Errorf("foreign state %T", s)
+		return nil, rejectf("foreign state %T", s)
 	}
 	op := el.Ops[0]
 	switch op.Method {
 	case MethodEnq:
 		if op.Arg.Kind != history.KindInt || op.Ret.Kind != history.KindBool || !op.Ret.B {
-			return nil, fmt.Errorf("enq must be int ▷ true, got %s ▷ %s", op.Arg, op.Ret)
+			return nil, rejectf("enq must be int ▷ true, got %s ▷ %s", op.Arg, op.Ret)
 		}
 		return qs.enq(op.Arg.N), nil
 	case MethodDeq:
 		if op.Arg.Kind != history.KindUnit || op.Ret.Kind != history.KindPair {
-			return nil, fmt.Errorf("deq must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
+			return nil, rejectf("deq must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if !op.Ret.B {
 			if op.Ret.N != 0 {
-				return nil, fmt.Errorf("failed deq must return (false,0): %s", el)
+				return nil, reject("failed deq must return (false,0)", el)
 			}
 			if qs.items != "" {
-				return nil, fmt.Errorf("deq may fail only on the empty queue, state [%s]", qs.items)
+				return nil, rejectf("deq may fail only on the empty queue, state [%s]", qs.items)
 			}
 			return qs, nil
 		}
 		next, v, nonEmpty := qs.deq()
 		if !nonEmpty {
-			return nil, fmt.Errorf("successful deq on empty queue: %s", el)
+			return nil, reject("successful deq on empty queue", el)
 		}
 		if v != op.Ret.N {
-			return nil, fmt.Errorf("deq returned %d but head is %d", op.Ret.N, v)
+			return nil, rejectf("deq returned %d but head is %d", op.Ret.N, v)
 		}
 		return next, nil
 	default:
-		return nil, fmt.Errorf("unknown method %s", op.Method)
+		return nil, rejectf("unknown method %s", op.Method)
 	}
 }
 

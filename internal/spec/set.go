@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,50 +104,50 @@ func (st Set) MaxElementSize() int { return 1 }
 // Step implements Spec.
 func (st Set) Step(s State, el trace.Element) (State, error) {
 	if el.Object != st.Obj {
-		return nil, fmt.Errorf("element on object %s, spec constrains %s", el.Object, st.Obj)
+		return nil, rejectf("element on object %s, spec constrains %s", el.Object, st.Obj)
 	}
 	if len(el.Ops) != 1 {
-		return nil, fmt.Errorf("set elements are singletons, got %d operations", len(el.Ops))
+		return nil, rejectf("set elements are singletons, got %d operations", len(el.Ops))
 	}
 	ss, ok := s.(setState)
 	if !ok {
-		return nil, fmt.Errorf("foreign state %T", s)
+		return nil, rejectf("foreign state %T", s)
 	}
 	op := el.Ops[0]
 	if op.Arg.Kind != history.KindInt || op.Ret.Kind != history.KindBool {
-		return nil, fmt.Errorf("set methods are int ▷ bool, got %s ▷ %s", op.Arg, op.Ret)
+		return nil, rejectf("set methods are int ▷ bool, got %s ▷ %s", op.Arg, op.Ret)
 	}
 	v, ret := op.Arg.N, op.Ret.B
 	switch op.Method {
 	case MethodAdd:
 		if ss.has(v) {
 			if ret {
-				return nil, fmt.Errorf("add(%d) ▷ true but %d is already a member", v, v)
+				return nil, rejectf("add(%d) ▷ true but %d is already a member", v, v)
 			}
 			return ss, nil
 		}
 		if !ret {
-			return nil, fmt.Errorf("add(%d) ▷ false but %d is absent", v, v)
+			return nil, rejectf("add(%d) ▷ false but %d is absent", v, v)
 		}
 		return ss.add(v), nil
 	case MethodRemove:
 		if ss.has(v) {
 			if !ret {
-				return nil, fmt.Errorf("remove(%d) ▷ false but %d is a member", v, v)
+				return nil, rejectf("remove(%d) ▷ false but %d is a member", v, v)
 			}
 			return ss.remove(v), nil
 		}
 		if ret {
-			return nil, fmt.Errorf("remove(%d) ▷ true but %d is absent", v, v)
+			return nil, rejectf("remove(%d) ▷ true but %d is absent", v, v)
 		}
 		return ss, nil
 	case MethodContains:
 		if ss.has(v) != ret {
-			return nil, fmt.Errorf("contains(%d) ▷ %v but membership is %v", v, ret, ss.has(v))
+			return nil, rejectf("contains(%d) ▷ %v but membership is %v", v, ret, ss.has(v))
 		}
 		return ss, nil
 	default:
-		return nil, fmt.Errorf("unknown method %s", op.Method)
+		return nil, rejectf("unknown method %s", op.Method)
 	}
 }
 

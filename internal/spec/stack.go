@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -104,54 +103,54 @@ func (st Stack) MaxElementSize() int { return 1 }
 // Step implements Spec.
 func (st Stack) Step(s State, el trace.Element) (State, error) {
 	if el.Object != st.Obj {
-		return nil, fmt.Errorf("element on object %s, spec constrains %s", el.Object, st.Obj)
+		return nil, rejectf("element on object %s, spec constrains %s", el.Object, st.Obj)
 	}
 	if len(el.Ops) != 1 {
-		return nil, fmt.Errorf("stack elements are singletons, got %d operations", len(el.Ops))
+		return nil, rejectf("stack elements are singletons, got %d operations", len(el.Ops))
 	}
 	ss, ok := s.(stackState)
 	if !ok {
-		return nil, fmt.Errorf("foreign state %T", s)
+		return nil, rejectf("foreign state %T", s)
 	}
 	op := el.Ops[0]
 	switch op.Method {
 	case MethodPush:
 		if op.Arg.Kind != history.KindInt || op.Ret.Kind != history.KindBool {
-			return nil, fmt.Errorf("push must be int ▷ bool, got %s ▷ %s", op.Arg, op.Ret)
+			return nil, rejectf("push must be int ▷ bool, got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if !op.Ret.B {
 			if !st.AllowContention {
-				return nil, fmt.Errorf("push cannot fail in the abstract stack: %s", el)
+				return nil, reject("push cannot fail in the abstract stack", el)
 			}
 			return ss, nil // contention failure: no-op
 		}
 		return ss.push(op.Arg.N), nil
 	case MethodPop:
 		if op.Arg.Kind != history.KindUnit || op.Ret.Kind != history.KindPair {
-			return nil, fmt.Errorf("pop must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
+			return nil, rejectf("pop must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if !op.Ret.B {
 			if op.Ret.N != 0 {
-				return nil, fmt.Errorf("failed pop must return (false,0): %s", el)
+				return nil, reject("failed pop must return (false,0)", el)
 			}
 			if st.AllowContention {
 				return ss, nil // empty or contention: no-op
 			}
 			if _, nonEmpty := ss.top(); nonEmpty {
-				return nil, fmt.Errorf("pop may fail only on the empty stack, state [%s]", ss.items)
+				return nil, rejectf("pop may fail only on the empty stack, state [%s]", ss.items)
 			}
 			return ss, nil
 		}
 		next, v, nonEmpty := ss.pop()
 		if !nonEmpty {
-			return nil, fmt.Errorf("successful pop on empty stack: %s", el)
+			return nil, reject("successful pop on empty stack", el)
 		}
 		if v != op.Ret.N {
-			return nil, fmt.Errorf("pop returned %d but top is %d", op.Ret.N, v)
+			return nil, rejectf("pop returned %d but top is %d", op.Ret.N, v)
 		}
 		return next, nil
 	default:
-		return nil, fmt.Errorf("unknown method %s", op.Method)
+		return nil, rejectf("unknown method %s", op.Method)
 	}
 }
 

@@ -216,12 +216,22 @@ func (tr Trace) Equal(other Trace) bool {
 func (tr Trace) AppendKey(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(tr)))
 	for _, e := range tr {
-		b = binary.AppendUvarint(b, uint64(len(e.Object)))
-		b = append(b, e.Object...)
-		b = binary.AppendUvarint(b, uint64(len(e.Ops)))
-		for _, op := range e.Ops {
-			b = history.AppendOpKey(b, op.Thread, op.Object, op.Method, op.Arg, op.Ret)
-		}
+		b = e.AppendKey(b)
+	}
+	return b
+}
+
+// AppendKey appends the exact encoding of one element to b: the bytes
+// Trace.AppendKey writes for it after the count. A trace's encoding is
+// its count followed by its elements' encodings, so a model that only
+// appends to a trace can carry the element bytes along and prefix the
+// count when it needs the whole key.
+func (e Element) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(e.Object)))
+	b = append(b, e.Object...)
+	b = binary.AppendUvarint(b, uint64(len(e.Ops)))
+	for _, op := range e.Ops {
+		b = history.AppendOpKey(b, op.Thread, op.Object, op.Method, op.Arg, op.Ret)
 	}
 	return b
 }
